@@ -1059,15 +1059,12 @@ func etDeltaMeasureAll(totalOps int) (offs, ons []throughputPoint, foot []snapfo
 
 // multicorePoint is one measurement of the scale-out sweep: a YCSB mix
 // driven by mcProcs handles at a pinned GOMAXPROCS over a sharded
-// composition (repro/shard) on one pool. SlotStripes records the
-// RESOLVED per-shard published-view stripe count — 1 marks the
-// single-slot baseline configuration, anything else the striped one.
+// composition (repro/shard) on one pool.
 type multicorePoint struct {
 	Workload      string  `json:"workload"`
 	Procs         int     `json:"procs"`
 	GoMaxProcs    int     `json:"go_max_procs"`
 	Shards        int     `json:"shards"`
-	SlotStripes   int     `json:"slot_stripes"`
 	OpsPerSec     float64 `json:"ops_per_sec"`
 	NsPerOp       float64 `json:"ns_per_op"`
 	PFencesPerUpd float64 `json:"pfences_per_update"`
@@ -1086,12 +1083,9 @@ var (
 
 // measureYCSBSharded is measureYCSB over the shard composition: the
 // composed handle routes each keyed op to its partition, so the same
-// streams, preload and warm-up drive 1..N shards identically. stripes
-// is passed through to every shard's SlotStripes (1 = the single-slot
-// baseline; 0 = auto-striped).
-func measureYCSBSharded(mix workload.YCSBWorkload, nshards, stripes, totalOps int) (multicorePoint, error) {
+// streams, preload and warm-up drive 1..N shards identically.
+func measureYCSBSharded(mix workload.YCSBWorkload, nshards, totalOps int) (multicorePoint, error) {
 	base := etConfig(mcProcs, true)
-	base.SlotStripes = stripes
 	pool := pmem.New(etPoolSize(mcProcs)*nshards+(1<<22), nil)
 	in, err := shard.Open(pool, objects.OrderedMapSpec{}, shard.Config{Shards: nshards, Base: base})
 	if err != nil {
@@ -1124,13 +1118,12 @@ func measureYCSBSharded(mix workload.YCSBWorkload, nshards, stripes, totalOps in
 	el := time.Since(start)
 	total := per * mcProcs
 	pt := multicorePoint{
-		Workload:    string(mix),
-		Procs:       mcProcs,
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		Shards:      nshards,
-		SlotStripes: in.Shard(0).FastPathStats().Stripes,
-		OpsPerSec:   float64(total) / el.Seconds(),
-		NsPerOp:     float64(el.Nanoseconds()) / float64(total),
+		Workload:   string(mix),
+		Procs:      mcProcs,
+		GoMaxProcs: runtime.GOMAXPROCS(0),
+		Shards:     nshards,
+		OpsPerSec:  float64(total) / el.Seconds(),
+		NsPerOp:    float64(el.Nanoseconds()) / float64(total),
 	}
 	if updates > 0 {
 		pt.PFencesPerUpd = float64(pool.TotalStats().PersistentFences) / float64(updates)
@@ -1143,42 +1136,32 @@ func measureYCSBSharded(mix workload.YCSBWorkload, nshards, stripes, totalOps in
 }
 
 // etMulticoreMeasureAll runs the scale-out sweep: for each pinned
-// GOMAXPROCS and each mix, the single-shard single-slot BASELINE and
-// the striped shard ladder are measured interleaved within each of
-// etRepeats repetitions (best-of per leg), so every speedup in the
-// series is a same-session, same-minute comparison. GOMAXPROCS is
-// restored afterwards.
-func etMulticoreMeasureAll(totalOps int) (baselines, scaled []multicorePoint, err error) {
+// GOMAXPROCS and each mix, the shard ladder is measured interleaved
+// within each of etRepeats repetitions (best-of per leg), so every
+// speedup over the single-shard leg is a same-session, same-minute
+// comparison. GOMAXPROCS is restored afterwards.
+func etMulticoreMeasureAll(totalOps int) (scaled []multicorePoint, err error) {
 	oldGomax := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(oldGomax)
 	for _, g := range mcGomax {
 		runtime.GOMAXPROCS(g)
 		for _, mix := range mcMixes {
-			var base multicorePoint
 			best := make([]multicorePoint, len(mcShardSet))
 			for r := 0; r < etRepeats; r++ {
-				b, err := measureYCSBSharded(mix, 1, 1, totalOps)
-				if err != nil {
-					return nil, nil, err
-				}
-				if b.OpsPerSec > base.OpsPerSec {
-					base = b
-				}
 				for i, ns := range mcShardSet {
-					p, err := measureYCSBSharded(mix, ns, 0, totalOps)
+					p, err := measureYCSBSharded(mix, ns, totalOps)
 					if err != nil {
-						return nil, nil, err
+						return nil, err
 					}
 					if p.OpsPerSec > best[i].OpsPerSec {
 						best[i] = p
 					}
 				}
 			}
-			baselines = append(baselines, base)
 			scaled = append(scaled, best...)
 		}
 	}
-	return baselines, scaled, nil
+	return scaled, nil
 }
 
 // et: simulator-substrate throughput scaling over 1..64 processes.
@@ -1202,7 +1185,7 @@ func et() error {
 	if err != nil {
 		return err
 	}
-	mcBase, mcScaled, err := etMulticoreMeasureAll(totalOps)
+	mcScaled, err := etMulticoreMeasureAll(totalOps)
 	if err != nil {
 		return err
 	}
@@ -1243,22 +1226,21 @@ func et() error {
 			fmt.Sprintf("%.3f", fp.Ratio))
 	}
 	mcBaseline := func(wl string, gomax int) float64 {
-		for _, b := range mcBase {
-			if b.Workload == wl && b.GoMaxProcs == gomax {
+		for _, b := range mcScaled {
+			if b.Workload == wl && b.GoMaxProcs == gomax && b.Shards == 1 {
 				return b.OpsPerSec
 			}
 		}
 		return 0
 	}
 	fmt.Println()
-	row("multicore (mix/gmp/shards)", "stripes", "ops/sec", "pf/update", "vs 1-shard 1-slot")
+	row("multicore (mix/gmp/shards)", "ops/sec", "pf/update", "vs 1 shard")
 	for _, pt := range mcScaled {
 		speedup := "n/a"
 		if b := mcBaseline(pt.Workload, pt.GoMaxProcs); b > 0 {
 			speedup = fmt.Sprintf("%.2fx", pt.OpsPerSec/b)
 		}
 		row(fmt.Sprintf("%s/g%d/s%d", pt.Workload, pt.GoMaxProcs, pt.Shards),
-			fmt.Sprint(pt.SlotStripes),
 			fmt.Sprintf("%.0f", pt.OpsPerSec),
 			fmt.Sprintf("%.3f", pt.PFencesPerUpd), speedup)
 	}
@@ -1301,12 +1283,11 @@ func et() error {
 			DeltaOn       []throughputPoint `json:"delta_snapshots_on"`
 			SnapFootprint []snapfootPoint   `json:"snapshot_footprint"`
 			Footprint     []footprintPoint  `json:"log_footprint"`
-			MCBaseline    []multicorePoint  `json:"multicore_baseline_single_slot"`
 			Multicore     []multicorePoint  `json:"multicore_scaling"`
 			Latency       json.RawMessage   `json:"latency,omitempty"`
 			LatencyNote   json.RawMessage   `json:"latency_note,omitempty"`
 		}{
-			Schema:        "bench_throughput/v8",
+			Schema:        "bench_throughput/v9",
 			GeneratedUnix: time.Now().Unix(),
 			GoMaxProcs:    runtime.GOMAXPROCS(0),
 			TotalOps:      totalOps,
@@ -1327,8 +1308,8 @@ func et() error {
 			PR5Note: "v5 (PR 5): both legs include the pmem pending-set index fix " +
 				"(snapshot-sized flush batches used to dedupe by O(n^2) linear scan, " +
 				"dominating ycsb-d's compaction cost), so absolute numbers jump vs v4; " +
-				"the fast-on leg adds update-side slot publication, epoch-stamped " +
-				"slot serves and the cost-aware adoption threshold (DESIGN.md §3.6). " +
+				"the fast-on leg is the epoch check (DESIGN.md §3.5); the shared-view " +
+				"slots it also carried from v5 to v8 were removed in v9. " +
 				"ycsb-d (read-latest churn) is the headline mix for the on/off delta. " +
 				"go_max_procs and total_ops_per_point (-etops) describe the " +
 				"pr3_read_fastpath_off and current_read_fastpath legs ONLY: the " +
@@ -1356,12 +1337,10 @@ func et() error {
 				"single-tier layout, at the suite's log geometry; pfences/op unchanged",
 			MulticoreNote: "v7 (multi-core scale-out): GOMAXPROCS {1,2,4} x shards {1,2,4} " +
 				"on ycsb-c/ycsb-a, always 4 worker handles, one shared pool. " +
-				"multicore_baseline_single_slot is the PR 4-7 configuration (one " +
-				"shard, SlotStripes=1) re-measured at every GOMAXPROCS, interleaved " +
-				"with the scaling legs inside each best-of-3 repetition so every " +
-				"speedup is a same-session comparison; multicore_scaling uses " +
-				"auto-resolved stripes (min(GOMAXPROCS, NProcs), slot_stripes " +
-				"records the resolved count). pfences/update stays 1 and ycsb-c " +
+				"The shard legs are interleaved inside each best-of-3 repetition, " +
+				"so every speedup over the 1-shard leg is a same-session " +
+				"comparison (v9 dropped the v7-v8 single-slot baseline leg and " +
+				"slot_stripes field along with the slots). pfences/update stays 1 and ycsb-c " +
 				"stays fence-free through the shard router. The scaling curve is " +
 				"only meaningful when this artifact was generated on a multi-core " +
 				"host (go_max_procs >= 4, i.e. CI's bench-multicore runner); on a " +
@@ -1375,7 +1354,6 @@ func et() error {
 			DeltaOn:       deltaOn,
 			SnapFootprint: snapFoot,
 			Footprint:     footprint,
-			MCBaseline:    mcBase,
 			Multicore:     mcScaled,
 			Latency:       prevLatency,
 			LatencyNote:   prevLatencyNote,

@@ -16,7 +16,7 @@
 // percentiles do not suffer coordinated omission. Each YCSB phase runs
 // once per ack mode (ack-on-linearize and ack-on-persist), reporting
 // p50/p99/p999 and measured persists-per-request; -json records the
-// series into BENCH_throughput.json (schema v8 "latency").
+// series into BENCH_throughput.json (the "latency" block, schema v8+).
 package main
 
 import (
@@ -312,7 +312,8 @@ func benchLeg(mix workload.YCSBWorkload, ack string) (latencyPoint, error) {
 
 // mergeLatency writes the latency series into BENCH_throughput.json,
 // preserving every other series the throughput harness maintains and
-// bumping the schema to v8 (v7 + the "latency" block).
+// stamping the current schema, v9 (v8 added the "latency" block; v9
+// dropped the multicore single-slot leg).
 func mergeLatency(points []latencyPoint) error {
 	doc := map[string]json.RawMessage{}
 	if data, err := os.ReadFile(jsonPath); err == nil {
@@ -350,7 +351,7 @@ func mergeLatency(points []latencyPoint) error {
 	if doc["latency_note"], err = json.Marshal(note); err != nil {
 		return err
 	}
-	if doc["schema"], err = json.Marshal("bench_throughput/v8"); err != nil {
+	if doc["schema"], err = json.Marshal("bench_throughput/v9"); err != nil {
 		return err
 	}
 	out, err := json.MarshalIndent(doc, "", "  ")

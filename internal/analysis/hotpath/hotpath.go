@@ -6,10 +6,10 @@
 //
 //   - allocations: make, new, slice/map composite literals, closures
 //     (escape: //onll:allocok(reason) on the line);
-//   - clock reads: time.Now, time.Since — the cost-model EWMA samples
-//     the clock behind an explicit gate, and an un-gated read is
-//     exactly the class the PR 9 timing audit chased by hand
-//     (escape: //onll:clockok(reason));
+//   - clock reads: time.Now, time.Since — a deliberate read sits
+//     behind an explicit gate (the server's timing ring), and an
+//     un-gated read is exactly the class the PR 9 timing audit chased
+//     by hand (escape: //onll:clockok(reason));
 //   - mutex acquisition: sync.Mutex/RWMutex Lock/RLock — the pool's
 //     striped shard locks are the one allowed case and each takes a
 //     line escape naming why (//onll:lockok(reason));

@@ -1,23 +1,23 @@
-// Package seqlockregion checks the stripe-slot discipline of the
-// published-view fast path: between a seqlock acquire (the odd-version
+// Package seqlockregion checks seqlock-stripe discipline: between a
+// seqlock acquire (the odd-version
 // CAS, //onll:seqlock(acquire)) and the covering release
 // (//onll:seqlock(release)), the holder must not allocate, touch
 // channels, start goroutines, or call anything that may block — a
 // suspended holder merely disables the stripe (contenders never wait),
 // but a blocked or GC-stalled one extends that window arbitrarily —
 // and every return path must release first, or the version is left odd
-// and the stripe is dead for the rest of the run (the bug class PR 5's
-// crash hygiene patched reactively).
+// and the stripe is dead for the rest of the run. No production
+// function carries the annotations today; the fixtures under testdata
+// keep the analyzer exercised.
 //
 // The analysis is a structural walk over each function's statements,
 // tracking whether the lock is held along the way. It understands the
 // repo's region idioms: the `v, ok := p.tryAcquire(); if !ok { return }`
 // bailout, release-then-return sequences, both branches of an if
-// releasing, and helpers that release internally (adoptSlot) when they
-// are annotated release. Regions are lexical per function: a helper
-// called while the lock is held is not re-checked here (installView's
-// one-time lazy allocation is deliberate), and a loop body is walked
-// once with the state it enters with.
+// releasing, and helpers that release internally when they are
+// annotated release. Regions are lexical per function: a helper called
+// while the lock is held is not re-checked here, and a loop body is
+// walked once with the state it enters with.
 package seqlockregion
 
 import (

@@ -1,5 +1,5 @@
-// Package linepadb is the linepad NEGATIVE fixture: the pubView shape
-// — three solo hot lines, one deliberately shared counter line, a
+// Package linepadb is the linepad NEGATIVE fixture: a seqlock stripe
+// shape — three solo hot lines, one deliberately shared counter line, a
 // padded payload tail — plus an unannotated struct the analyzer must
 // ignore. No diagnostics expected.
 package linepadb

@@ -303,8 +303,8 @@ func buildCrashedChainImage(t *testing.T) (*pmem.Pool, plog.Record) {
 	return pool, head
 }
 
-// TestRecoveryTornChainPredecessorBody corrupts a payload word inside
-// the chain head's PREDECESSOR body — damage the head record's own
+// TestRecoveryTornChainPredecessorBody corrupts a word inside the
+// chain head's PREDECESSOR body — damage the head record's own
 // checksum cannot see, only the back-reference checksum carried in the
 // head body can. Strict whole-image recovery must refuse with
 // snapshot-corruption evidence (the chain no longer folds, so the
@@ -314,8 +314,8 @@ func buildCrashedChainImage(t *testing.T) (*pmem.Pool, plog.Record) {
 func TestRecoveryTornChainPredecessorBody(t *testing.T) {
 	pool, head := buildCrashedChainImage(t)
 	// Body[2] is the back-reference address of the predecessor body
-	// (validated at resolve time); smash a word inside that region,
-	// past its 5-word frame header.
+	// (validated at resolve time); smash a word inside that region
+	// (the body checksum covers every word, frame included).
 	durablyCorrupt(pool, pmem.Addr(head.Body[2])+pmem.Addr(5*pmem.WordSize), ^uint64(0))
 	if _, _, err := core.Recover(pool, objects.MapSpec{}, core.Config{}); !errors.Is(err, core.ErrSnapshotCorrupt) {
 		t.Fatalf("strict recovery over a torn chain predecessor: err=%v, want ErrSnapshotCorrupt", err)

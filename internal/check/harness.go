@@ -27,10 +27,9 @@ type HarnessConfig struct {
 	WaitFree     bool
 	LocalViews   bool
 	CompactEvery int
-	// ReadFastPath enables the version-stamped read fast path (shared
-	// published view + epoch-checked reads) in both the pre-crash and
-	// the recovered instance, so crash sweeps exercise adoption across
-	// recovery.
+	// ReadFastPath enables the epoch-checked read fast path in both the
+	// pre-crash and the recovered instance, so crash sweeps exercise
+	// epoch revalidation across recovery.
 	ReadFastPath bool
 	// LogInlineOps is the two-tier inline slot budget passed through to
 	// core.Config (0 = plog default); sweeps shrink it to force records

@@ -105,12 +105,11 @@ func TestCrashInjectionSweep(t *testing.T) {
 
 // readHeavySweep is the read-heavy crash mix: 15% updates with the
 // read fast path enabled (unless the CI fast-path-off leg disables it)
-// and a tight compaction cadence, so epoch-checked reads, shared-view
-// publication and adoption all run under the random crash point — and
-// again in the recovered era, where every replacement handle starts
-// cold and must catch up to a trace it never walked. Probing a read
-// from EVERY handle after recovery forces that cold-start path: the
-// first walker republishes, the rest adopt.
+// and a tight compaction cadence, so epoch-checked reads and catch-up
+// walks all run under the random crash point — and again in the
+// recovered era, where every replacement handle starts cold and must
+// catch up to a trace it never walked. Probing a read from EVERY
+// handle after recovery forces that cold-start path.
 func readHeavySweep(t *testing.T, nprocs, iters int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(nprocs)*4049 + 3))

@@ -161,10 +161,6 @@ func (b *Batch) Flush() error {
 	}
 	in.gate.Step(h.pid, PointPersisted)
 
-	if in.pubs != nil && h.view != nil && !in.cfg.AdoptPolicy.DisableUpdatePublish {
-		h.publishFromUpdate()
-	}
-
 	var err error
 	if ce := h.cutEvery(); ce > 0 {
 		h.sinceCompact += len(b.nodes)

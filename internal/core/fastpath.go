@@ -1,78 +1,12 @@
 package core
 
-// The read fast path (Config.ReadFastPath, DESIGN.md §3.5–3.6, striping
-// §3.9) has two halves. The epoch check lives in Read/advanceView in
-// core.go: the trace bumps a publication epoch on every linearize
-// stage, and a read whose handle has already validated its view against
-// the current epoch skips the trace walk entirely. This file holds the
-// second half, the shared latest-view slots: per-instance publications
-// of (state, execution index, covered-sequence vector) that cold or
-// lagging handles copy instead of replaying a long trace suffix node by
-// node.
-//
-// Since PR 8 the slot is STRIPED: an instance carries a small array of
-// independent slots (Config.SlotStripes; auto-sized from GOMAXPROCS by
-// default) so the hot atomics are not one shared CAS line that every
-// publisher and server in the process serializes on. The protocol per
-// stripe is unchanged from the single-slot design:
-//
-//   - each slot is guarded seqlock-style by one version counter: even
-//     means free, odd means a publisher or adopter is inside. Both
-//     sides acquire it with a single CAS and NEVER wait — on contention
-//     they fall back to the ordinary suffix walk, which is always
-//     correct. Adopters hold the (odd) version for the duration of
-//     their copy, so a copy can never race a publisher's overwrite;
-//   - adopters copy into a handle-private scratch state and swap it
-//     with the view only after a successful copy, so a failed
-//     acquisition never leaves a torn view behind.
-//
-// Stripe selection is asymmetric by design. WRITERS to the slot —
-// publishers (publishFromUpdate, tryPublish, compact) and stampers
-// (tryStampSlot) — always touch their OWN stripe, picked by pid hash:
-// a hot updater's slot CAS and frontier stores then contend only with
-// the handles hashed onto the same stripe, not with every handle in
-// the instance. READERS of the slot — adopters (tryAdopt) and served
-// reads (tryServeSlot) — scan ALL stripes for the freshest valid one
-// (highest frontier mirror, matching epoch hint for serves), because a
-// laggard wants the best publication anywhere, not whatever its own
-// stripe happens to hold. The scan costs one plain atomic load per
-// stripe on lines that are read-mostly from this side, so it does not
-// reintroduce the shared-line bouncing the striping removes.
-//
-// Within a pubView the hot atomics — ver, frontier, epochHint — are
-// each padded to their own cache line (PR 8's false-sharing fix, pinned
-// by TestPubViewCacheLineLayout): frontier is stored by publishers on
-// every publication while epochHint is polled by every fast-path read,
-// and before the padding a stamp invalidated the line a publisher was
-// about to load even when the slot was already caught up.
-//
-// The slots are fed from three sides: updaters that just caught their
-// view up in computeUpdate (damped by publishFromUpdate, so the slots
-// track the insert frontier under churn), readers that paid for a
-// long catch-up walk, and compaction (which is exactly caught up at
-// the cut). Adoption is gated by the cost model in adoptpolicy.go.
-//
-// Compaction safety: a slot holds a value copy of a state plus an
-// execution index — never a node pointer — so a compaction cut (or the
-// compactForSpace pressure valve, which truncates logs without cutting
-// the trace) can never leave it dangling into recycled nodes. A
-// publication older than a later cut's base is merely useless, not
-// unsafe: an adopter that takes it walks the remaining suffix, meets
-// the (younger, available) base first, and restores from the base,
-// discarding the adopted prefix — TestAdoptionAcrossCompactionCut pins
-// this interleaving deterministically. compact republishes at the cut
-// index anyway, so the stale window is one slot write wide.
-
-import (
-	"runtime"
-	"time"
-
-	"sync/atomic"
-
-	"repro/internal/pmem"
-	"repro/internal/spec"
-	"repro/internal/trace"
-)
+// The read fast path (Config.ReadFastPath, DESIGN.md §3.5) is the
+// publication-epoch check in Read: the trace bumps an epoch on every
+// linearize stage, and a read whose handle has already validated its
+// view against the current epoch serves from the view without touching
+// the trace. A handle whose view is stale walks the suffix from its own
+// view, as with plain local views, and records the epoch it loaded
+// before the walk.
 
 // epochNever marks a handle whose view has not been validated against
 // any trace epoch (fresh or freshly recovered); the first read always
@@ -80,552 +14,17 @@ import (
 // reach it.
 const epochNever = ^uint64(0)
 
-// publishMinLag is the minimum number of nodes an advanceView must
-// have replayed before it publishes its view from the read side: a
-// handle that just paid for a long catch-up shares the result, handles
-// ticking along one node at a time never pay the publication copy.
-// (Updaters publish through the publishFromUpdate damper instead.)
-const publishMinLag = 32
-
-// maxSlotStripes caps the automatic stripe count: past a handful of
-// stripes the adopter/server scan cost grows while the contention win
-// flattens (stripes beyond the core count can never be hot in
-// parallel).
-const maxSlotStripes = 8
-
-// slotPadWords pads a uint64 field to a full pmem-modelled cache line
-// (64 bytes on x86): the field plus seven pad words.
-const slotPadWords = pmem.LineSize/pmem.WordSize - 1
-
-// pubView is one stripe of the instance's shared latest-view slot
-// array. The three hot atomics each own a cache line (see the
-// false-sharing note in the package comment); the diagnostic counters
-// share a fourth line, padded so the guarded payload that follows
-// cannot land on it either. The linepad analyzer re-derives the layout
-// from the target sizes (the static twin of TestPubViewCacheLineLayout),
-// including the tail pad that rounds the whole struct to a line
-// multiple — instances hold stripes in a []pubView, so a ragged tail
-// would put the next stripe's hot ver line on this stripe's payload.
-//
-//onll:linepadded
-type pubView struct {
-	// ver is the seqlock version: even = free, odd = held. Publishers
-	// and adopters both acquire with one CAS and fall back (no retry,
-	// no spin) on failure.
-	ver atomic.Uint64
-	_   [slotPadWords]uint64
-	// frontier mirrors idx outside the slot: publishers store it while
-	// holding ver, anyone may load it without acquiring. It exists so
-	// the update-side publication damper, the adopter/server stripe
-	// scan, and tests can read how far the slot lags without touching
-	// the CAS.
-	frontier atomic.Uint64
-	_        [slotPadWords]uint64
-	// epochHint mirrors epoch outside the slot (stored by stampers
-	// while holding ver): tryServeSlot pre-checks it with a plain load
-	// so the can't-serve case — every read while the slot's stamp is
-	// stale, i.e. most reads of a write-heavy mix — costs no RMW on the
-	// shared line. The authoritative comparison still happens under the
-	// slot; the hint can only cause a harmless miss.
-	epochHint atomic.Uint64
-	_         [slotPadWords]uint64
-	// publishes counts successful publications, stamps epoch-validated
-	// slot advances, serves reads answered straight from the slot
-	// (diagnostics/tests). Lower-traffic than the hot three, so they
-	// share one line.
-	publishes atomic.Uint64
-	stamps    atomic.Uint64
-	serves    atomic.Uint64
-	_         [slotPadWords - 2]uint64
-	// The payload below is written and read only while holding ver.
-	state spec.State
-	idx   uint64
-	seqs  []uint64
-	// epoch is the publication epoch the slot state is validated
-	// against: a value loaded BEFORE the walk (or incremental advance)
-	// that brought the state to idx, exactly the per-handle seenEpoch
-	// rule lifted to the shared view. While Epoch() still equals it, no
-	// operation has been published since, so the slot state IS the
-	// latest available prefix and a read may be served from it without
-	// touching the trace (tryServeSlot). Meaningful only while state is
-	// non-nil; it only ever increases.
-	epoch uint64
-	_     [1]uint64 // rounds the stripe to a whole number of lines
-}
-
-// reset returns the slot to its initial free state, dropping any
-// publication. New and Recover call it for every stripe (via
-// resetSlots) so a slot can never be BORN held: within a run a holder
-// killed between acquire and release (a crash gate firing at
-// PointSlotCopy) leaves the version odd and merely disables the
-// optimization until the crash completes — contenders never wait on
-// the slot — but recovery must not inherit that dead lock, and the
-// recovered trace's indices restart relative to a new base anyway.
-// check's TestSlotHolderCrashRecovery pins adoptions > 0 after exactly
-// that crash.
-func (p *pubView) reset() {
-	p.state = nil
-	p.idx = 0
-	p.seqs = nil
-	p.epoch = 0
-	p.epochHint.Store(0)
-	p.frontier.Store(0)
-	p.ver.Store(0)
-}
-
-// tryAcquire takes the slot if it is free, returning the even version
-// to pass to release. It never blocks. The seqlockregion analyzer
-// checks every caller: between this call and the covering release no
-// allocation, channel operation or blocking call may run, and no
-// return path may leave the version odd.
-//
-//onll:seqlock(acquire)
-//onll:hotpath
-func (p *pubView) tryAcquire() (uint64, bool) {
-	v := p.ver.Load()
-	if v&1 != 0 || !p.ver.CompareAndSwap(v, v+1) {
-		return 0, false
-	}
-	return v, true
-}
-
-// release frees the slot, advancing the version past v+1.
-//
-//onll:seqlock(release)
-//onll:hotpath
-func (p *pubView) release(v uint64) { p.ver.Store(v + 2) }
-
-// resolveSlotStripes turns the configured stripe count into the actual
-// one: an explicit positive count is used as given (clamped only by
-// validation in Config.fill); zero auto-sizes to the parallelism the
-// process can actually express — min(GOMAXPROCS, NProcs) — capped at
-// maxSlotStripes. Single-slot instances (SlotStripes: 1) reproduce the
-// PR 4–7 layout exactly.
-func resolveSlotStripes(cfg *Config) int {
-	n := cfg.SlotStripes
-	if n == 0 {
-		n = runtime.GOMAXPROCS(0)
-		if n > cfg.NProcs {
-			n = cfg.NProcs
-		}
-		if n > maxSlotStripes {
-			n = maxSlotStripes
-		}
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// stripe returns the handle's OWN stripe — the one its publications and
-// stamps go to. Pids are dense small integers, so the modulo IS the
-// pid hash: with stripes ≥ the hot-handle count every publisher owns a
-// stripe outright, and below that the handles sharing a stripe are the
-// only ones contending on its line.
-//
-//onll:hotpath
-func (h *Handle) stripe() *pubView {
-	pubs := h.in.pubs
-	return &pubs[h.pid%len(pubs)]
-}
-
-// publishFromUpdate offers the updater's freshly caught-up view to its
-// slot stripe at the end of an update: computeUpdate just advanced the
-// view to the update's own node, so the handle holds — for free — the
-// very state a lagging reader wants, and publishing here is what makes
-// the slots track the insert frontier under churn instead of only
-// benefiting from rare long read-side catch-ups. The damper is one
-// atomic load: publish only when the stripe trails this view by at
-// least the damper's node count, so a storm of hot updaters touches
-// the slot CAS (and pays the state copy) at most once per that many
-// frontier advances instead of serializing on every update. The damper
-// is AdoptPolicy.PublishLag when pinned; the adaptive default scales
-// with the adoption threshold (see publishCostFactor), bottoming out
-// at defaultPublishLag.
-//
-//onll:hotpath
-func (h *Handle) publishFromUpdate() {
-	p := h.stripe()
-	front := p.frontier.Load()
-	if h.viewIdx <= front {
-		return
-	}
-	damper := uint64(h.in.cfg.AdoptPolicy.PublishLag)
-	if damper == 0 {
-		damper = defaultPublishLag
-		if h.in.costs != nil {
-			if d := publishCostFactor * h.in.costs.threshold(h.view); d > damper {
-				damper = d
-			}
-		}
-	}
-	if h.viewIdx-front < damper {
-		return
-	}
-	h.tryPublish()
-}
-
-// tryPublish offers the handle's current view to its slot stripe. It
-// only ever moves that stripe's publication forward (a stale view
-// never replaces a newer one) and skips silently on contention.
-//
-// Both tryPublish and tryAdopt announce gate points before acquiring
-// the slot and again while holding it, so deterministic schedulers can
-// preempt — or crash-inject — between the acquire and the copy.
-// Suspending (or killing) a holder at a gate blocks nobody: contenders
-// fall back to the suffix walk instead of waiting. A slot left
-// permanently odd by a killed process disables that stripe for the
-// remainder of that run only — construction and recovery reset every
-// stripe (resetSlots), so the next era starts with them free.
-//
-//onll:hotpath
-func (h *Handle) tryPublish() {
-	h.in.gate.Step(h.pid, PointPublish)
-	p := h.stripe()
-	v, ok := p.tryAcquire()
-	if !ok {
-		return
-	}
-	if h.viewIdx > p.idx {
-		h.installView(p)
-		p.frontier.Store(p.idx)
-		p.publishes.Add(1)
-	}
-	p.release(v)
-}
-
-// copyPriced is the slot-copy protocol step shared by every slot-side
-// state copy (publish, adopt, serve-adopt, stamp): announce
-// PointSlotCopy — the caller holds the slot, so deterministic
-// schedulers can preempt or crash-inject a holder here — then copy src
-// into dst, feeding the cost model when it is live. The timed region is
-// sample-gated (adoptCosts.sampleCopy): once the EWMA has converged,
-// only one copy in copySampleEvery pays the two clock reads, and the
-// gated-off path — like the fixed-policy path — never touches the
-// clock at all.
-//
-//onll:hotpath
-func (h *Handle) copyPriced(dst, src spec.State) {
-	h.in.gate.Step(h.pid, PointSlotCopy)
-	if c := h.in.costs; c != nil && c.sampleCopy() {
-		start := time.Now() //onll:clockok(sample-gated EWMA copy probe: sampleCopy admits 1 in copySampleEvery after warmup)
-		spec.Copy(dst, src)
-		c.observeCopy(spec.SizeHint(dst), time.Since(start)) //onll:clockok(sample-gated EWMA copy probe)
-		return
-	}
-	spec.Copy(dst, src)
-}
-
-// installView copies h's whole view into the slot payload — state
-// (priced), execution index and covered-sequence vector — the shared
-// tail of every full-copy publication path. The seqs vector grows
-// append-style into the retained array: the slot outlives every
-// publisher, so a fresh make per growth would strand the old array,
-// and steady state (fixed NProcs) never allocates. Caller holds the
-// slot.
-//
-//onll:hotpath
-func (h *Handle) installView(p *pubView) {
-	if p.state == nil {
-		p.state = h.in.sp.New()
-	}
-	h.copyPriced(p.state, h.view)
-	p.idx = h.viewIdx
-	p.seqs = append(p.seqs[:0], h.viewSeqs...)
-}
-
-// freshestStripe scans every stripe's frontier mirror and returns the
-// one with the highest published index within (minIdx, maxIdx], or nil
-// when none qualifies. One plain load per stripe, no RMW: this is the
-// adopter-side half of the striping's asymmetry — writers go to their
-// own stripe, readers take the best publication anywhere.
-//
-//onll:hotpath
-func (in *Instance) freshestStripe(minIdx, maxIdx uint64) *pubView {
-	var best *pubView
-	var bestFront uint64
-	for i := range in.pubs {
-		p := &in.pubs[i]
-		f := p.frontier.Load()
-		if f <= minIdx || f > maxIdx {
-			continue
-		}
-		if best == nil || f > bestFront {
-			best, bestFront = p, f
-		}
-	}
-	return best
-}
-
-// tryAdopt replaces the handle's view with a copy of the freshest
-// published one when that cuts the replay distance to node. The copy
-// only pays for itself when it SAVES enough replay, so the published
-// index must be more than minLag ahead of the view — lag to node alone
-// is not profitability (a publication one node ahead would cost a full
-// state copy to save a single Apply). minLag comes from the caller:
-// the instance's cost model (adoptpolicy.go) or the configured fixed
-// constant. The publication must also not sit past maxIdx — node.Idx()
-// for reads (the view only has to REACH node; equality makes the
-// remaining replay empty, the common case under churn where the slots
-// track the frontier), node.Idx()-1 for updates (adopting node's own
-// operation would lose its return value, which computeUpdate must
-// produce by applying it, and break compact's caught-up-at-node
-// invariant). The stripe is chosen by the frontier scan; its mirror
-// may trail the truth by one in-flight publication, so the bounds are
-// re-checked against p.idx under the slot. The copy lands in the
-// handle's scratch state and the two swap roles only on success, so
-// contention (acquire failure) costs nothing and can never tear the
-// live view — on contention the handle simply falls back to the walk
-// rather than probing a staler stripe.
-//
-//onll:hotpath
-func (h *Handle) tryAdopt(node *trace.Node, minLag, maxIdx uint64) {
-	h.in.gate.Step(h.pid, PointAdopt)
-	p := h.in.freshestStripe(h.viewIdx+minLag, maxIdx)
-	if p == nil {
-		return
-	}
-	v, ok := p.tryAcquire()
-	if !ok {
-		return // contention: fall back to the plain suffix walk
-	}
-	if p.state == nil || p.idx <= h.viewIdx || p.idx-h.viewIdx <= minLag || p.idx > maxIdx {
-		p.release(v)
-		return
-	}
-	h.adoptSlot(p, v)
-}
-
-// adoptSlot completes an adoption while holding the slot: copy the
-// published state into the scratch, merge the covered-sequence vector
-// (published vectors are elementwise >= those of any older view —
-// prefixes only grow — but merge defensively rather than assume),
-// release, and only then swap scratch and view, so no failure mode can
-// tear the live view. Shared by tryAdopt and tryServeSlot's adopting
-// branch. Annotated release: it frees the slot internally, so a
-// caller's seqlock region ends at this call.
-//
-//onll:seqlock(release)
-//onll:hotpath
-func (h *Handle) adoptSlot(p *pubView, v uint64) {
-	if h.adopt == nil {
-		h.adopt = h.in.sp.New()
-	}
-	h.copyPriced(h.adopt, p.state)
-	idx := p.idx
-	mergeSeqs(h.viewSeqs, p.seqs)
-	p.release(v)
-	h.view, h.adopt = h.adopt, h.view
-	h.viewIdx = idx
-	h.adoptions.Add(1)
-}
-
-// tryServeSlot answers a read through the shared slots: if some
-// stripe's validation epoch still equals the epoch this read loaded
-// before looking at anything else, no operation has been published
-// since that slot state was brought up to date, so the slot IS the
-// latest available prefix — no trace walk, no per-handle replay of the
-// operations every other handle already applied. This is what makes
-// the fast path pay under frontier-chasing churn: a single validating
-// read advances and stamps a shared state once, and the other
-// handles ride it instead of each replaying the same suffix privately.
-//
-// The serving stripe is found by scanning the epoch hints (one plain
-// load each; stale hints reject without any RMW) and taking the
-// freshest match by frontier; the authoritative epoch comparison still
-// happens under the slot, so a racing overwrite of the hint can only
-// cost a harmless miss.
-//
-// Crucially, an epoch-valid slot also lets the handle VALIDATE ITS OWN
-// VIEW: if the view already sits at the slot index the two are the
-// same prefix and the epoch transfers for free; if the slot leads by
-// more than the adoption threshold the handle adopts the slot state
-// (the ordinary scratch-swap copy) and inherits the validation. Either
-// way seenEpoch is recorded and the handle's NEXT read takes the plain
-// own-view fast path — a served handle never gets stuck paying the
-// slot CAS per read. A lead too small to be worth a copy is left to
-// the walk, which is cheap at that distance and revalidates too.
-//
-// Monotonicity holds because every slot index only grows and serving
-// requires it at or past the handle's own view (which the handle's own
-// updates advance — that same check gives read-your-writes). On
-// contention the caller falls back to the ordinary walk.
-//
-//onll:hotpath
-func (h *Handle) tryServeSlot(epoch uint64, op spec.Op) (uint64, bool) {
-	pubs := h.in.pubs
-	var p *pubView
-	var bestFront uint64
-	for i := range pubs {
-		c := &pubs[i]
-		if c.epochHint.Load() != epoch {
-			continue // stale stamp: no RMW, this stripe cannot serve
-		}
-		if f := c.frontier.Load(); p == nil || f > bestFront {
-			p, bestFront = c, f
-		}
-	}
-	if p == nil {
-		return 0, false // no stripe validated for this epoch: walk
-	}
-	h.in.gate.Step(h.pid, PointSlotRead)
-	v, ok := p.tryAcquire()
-	if !ok {
-		return 0, false
-	}
-	if p.state == nil || p.epoch != epoch || p.idx < h.viewIdx {
-		p.release(v)
-		return 0, false
-	}
-	if p.idx > h.viewIdx {
-		if p.idx-h.viewIdx <= h.adoptThreshold() {
-			p.release(v) // cheaper to walk than to copy at this distance
-			return 0, false
-		}
-		p.serves.Add(1)
-		h.adoptSlot(p, v)
-	} else {
-		p.serves.Add(1)
-		p.release(v)
-	}
-	h.seenEpoch = epoch
-	return h.view.Read(op), true
-}
-
-// tryStampSlot validates the handle's slot stripe against epoch after
-// a read's catch-up walk: the caller loaded epoch BEFORE the walk that
-// advanced its view to node (so the view covers every operation the
-// epoch covers) and oldFloor is the walk floor it published on entry
-// (its view index before the walk — the reclamation cover for
-// everything the walk may dereference). Three cases, cheapest first:
-//
-//   - the slot is already at or past the view: stamp only (the slot
-//     state is a superset of the epoch's covered prefix — covered ops
-//     all sit at or below the validated node);
-//   - the slot is a short, cut-free, floor-covered distance behind:
-//     re-walk that gap and apply the missing operations INTO the slot
-//     state — one incremental advance serving every future slot read,
-//     instead of one replay per handle;
-//   - the gap is unbridgeable (crosses a compaction cut, dips under
-//     the reclamation floor) or beyond the cost model's threshold: a
-//     full copy of the view, priced exactly like an adoption.
-//
-// Anything else leaves the slot unstamped — readers simply keep
-// falling back to the walk, the pre-stamp behaviour.
-//
-// Advancing the slot re-applies every missed operation into the shared
-// state, work that only pays while other handles are consuming served
-// reads, so it runs under a demand damper: skip the advance while the
-// stripe's serve counter has not moved since this handle's last
-// advance, with one probe advance per slotProbeEvery skips so a demand
-// shift is noticed. The skip budget is PER HANDLE (h.slotServesSeen /
-// h.slotProbe — PR 8's damper fix): with the old per-instance counters
-// one hot stamper consumed the whole probe budget and recorded the
-// serve counter as seen, so the other handles' stamps always saw a
-// "static" stripe and their advances starved.
-//
-//onll:hotpath
-func (h *Handle) tryStampSlot(epoch uint64, node *trace.Node, oldFloor uint64) {
-	if h.viewIdx < node.Idx() {
-		return // defensive: the view did not reach the validated node
-	}
-	h.in.gate.Step(h.pid, PointPublish)
-	p := h.stripe()
-	v, ok := p.tryAcquire()
-	if !ok {
-		return
-	}
-	if p.state != nil && p.idx < h.viewIdx {
-		// Advance only under demand (see the damper note above): if no
-		// read has been served from the stripe since this handle's last
-		// advance, skip the work and leave the old state — the stamp
-		// below is then a no-op too (the state does not cover this
-		// epoch), which is exactly the pre-stamp behaviour.
-		if serves := p.serves.Load(); serves == h.slotServesSeen && h.slotProbe < slotProbeEvery {
-			h.slotProbe++
-			p.release(v)
-			return
-		}
-		advanced := false
-		if p.idx+1 >= oldFloor {
-			// The gap's nodes all sit at or above the published walk
-			// floor, so dereferencing them is covered by the same
-			// reclamation guarantee as the walk that just finished.
-			nodes, base := trace.CollectBackInto(h.nodeBuf, node, p.idx)
-			h.nodeBuf = nodes
-			// A non-nil base always sits above p.idx (CollectBackInto
-			// only reports a base it stopped at strictly past downTo),
-			// i.e. the gap crosses a cut: fall through to the copy path.
-			if base == nil {
-				for _, n := range nodes {
-					p.state.Apply(n.Op)
-					p.idx = n.Idx()
-					if pid, seq := spec.SplitID(n.Op.ID); pid >= 0 && pid < len(p.seqs) && seq > p.seqs[pid] {
-						p.seqs[pid] = seq
-					}
-				}
-				advanced = true
-			}
-		}
-		if !advanced {
-			if h.viewIdx-p.idx <= h.adoptThreshold() {
-				// Not worth a full copy; leave the slot unstamped.
-				p.release(v)
-				return
-			}
-			h.installView(p)
-		}
-		h.slotServesSeen = p.serves.Load()
-		h.slotProbe = 0
-	}
-	if p.state == nil {
-		h.installView(p)
-		h.slotServesSeen = p.serves.Load()
-		h.slotProbe = 0
-	}
-	if epoch > p.epoch {
-		p.epoch = epoch
-	}
-	p.epochHint.Store(p.epoch)
-	p.frontier.Store(p.idx)
-	p.stamps.Add(1)
-	p.release(v)
-}
-
-// FastPathStats reports the shared-slot activity of the read fast path
-// since construction, summed over every stripe: successful
-// publications (from updates, long read catch-ups and compaction),
-// epoch stamps (validated slot advances), reads served straight from a
-// slot, and successful view adoptions across all handles. Zero-valued
-// when ReadFastPath is off. The counters are atomic, so a mid-run call
-// is safe, but the sums are sampled independently (diagnostics and
-// tests, not an invariant surface).
+// FastPathStats is the retired shared-view slot surface of the read
+// fast path. The slots (publication, epoch stamps, slot-served reads
+// and view adoption) were removed when the epoch check alone proved to
+// carry the fast path's speed, so every counter is always zero. The
+// type and its fields stay for callers that still report them.
 type FastPathStats struct {
 	Publishes uint64
 	Stamps    uint64
 	SlotReads uint64
 	Adoptions uint64
-	// Stripes is the resolved published-view stripe count (0 when the
-	// fast path is off).
-	Stripes int
 }
 
-// FastPathStats implements the accessor on Instance.
-func (in *Instance) FastPathStats() FastPathStats {
-	var s FastPathStats
-	if in.pubs == nil {
-		return s
-	}
-	s.Stripes = len(in.pubs)
-	for i := range in.pubs {
-		p := &in.pubs[i]
-		s.Publishes += p.publishes.Load()
-		s.Stamps += p.stamps.Load()
-		s.SlotReads += p.serves.Load()
-	}
-	for _, h := range in.hands {
-		s.Adoptions += h.adoptions.Load()
-	}
-	return s
-}
+// FastPathStats reports the retired slot counters: always zero.
+func (in *Instance) FastPathStats() FastPathStats { return FastPathStats{} }

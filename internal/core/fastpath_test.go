@@ -3,7 +3,9 @@ package core
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/objects"
 	"repro/internal/pmem"
@@ -114,12 +116,13 @@ func TestReadFastPathEquivalence(t *testing.T) {
 	}
 }
 
-// TestReadFastPathAdoptionUnderCompaction drives a lagging reader
+// TestReadFastPathLaggingReaderUnderCompaction drives a lagging reader
 // against a compacting writer deterministically: the reader's rare
 // reads land far behind a writer that has cut the trace several times,
-// so each one either adopts the published view or restores from a base
-// — both must agree with the reference value.
-func TestReadFastPathAdoptionUnderCompaction(t *testing.T) {
+// so each one walks to the latest available node, restoring from a
+// base where the walk meets one, and must agree with the reference
+// value. The epoch it records must then serve the next read unchanged.
+func TestReadFastPathLaggingReaderUnderCompaction(t *testing.T) {
 	pool := pmem.New(1<<24, nil)
 	in, err := New(pool, objects.CounterSpec{}, Config{
 		NProcs: 2, ReadFastPath: true, CompactEvery: 16, LogCapacity: 2048,
@@ -141,8 +144,128 @@ func TestReadFastPathAdoptionUnderCompaction(t *testing.T) {
 		if got := r.Read(objects.CounterGet); got != done {
 			t.Fatalf("round %d: lagging reader saw %d, want %d", round, got, done)
 		}
+		if got := r.Read(objects.CounterGet); got != done {
+			t.Fatalf("round %d: epoch-hit read saw %d, want %d", round, got, done)
+		}
 	}
-	if r.adoptions.Load() == 0 && w.adoptions.Load() == 0 {
-		t.Log("note: no adoption triggered (bases won every race); lag coverage via base restore only")
+}
+
+// TestReadFastPathAllocFree pins the allocation cost of the epoch
+// check at ZERO: an identical update/read cycle allocates the same
+// with the fast path off and on (each update allocates exactly its
+// trace node here, compaction being off), and a read served by the
+// epoch check allocates nothing at all.
+func TestReadFastPathAllocFree(t *testing.T) {
+	cycle := func(fast bool) (cyc, hit float64) {
+		pool := pmem.New(1<<24, nil)
+		in, err := New(pool, objects.BankSpec{}, Config{
+			NProcs: 2, LocalViews: true, ReadFastPath: fast, LogCapacity: 1 << 12,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, r := in.Handle(0), in.Handle(1)
+		step := func() {
+			for i := 0; i < 40; i++ {
+				if _, _, err := w.Update(objects.BankDeposit, 1+uint64(i%4), 5); err != nil {
+					t.Fatal(err)
+				}
+			}
+			r.Read(objects.BankTotal)
+		}
+		step() // warm-up: views and buffers all grown
+		step()
+		cyc = testing.AllocsPerRun(50, step)
+		hit = testing.AllocsPerRun(100, func() { r.Read(objects.BankTotal) })
+		return cyc, hit
+	}
+	off, _ := cycle(false)
+	on, hit := cycle(true)
+	if on != off {
+		t.Fatalf("fast-path cycle allocates %.1f/run vs %.1f/run with the fast path off", on, off)
+	}
+	if hit != 0 {
+		t.Fatalf("epoch-hit read allocates %.1f/run, want 0", hit)
+	}
+	t.Logf("allocs/cycle: off=%.1f on=%.1f", off, on)
+}
+
+// TestReadFastPathSoak races epoch-checked readers against a compacting
+// writer under real concurrency (run it with -race). The object is the
+// bank, whose transfers conserve the total balance, so any read that
+// mixes a stale epoch with a newer view, or a view torn by the
+// writer's compaction recycling trace nodes under a walk, shows up as
+// a non-conserved total. A handle that sat out the whole run must
+// then read the right total on its first read.
+func TestReadFastPathSoak(t *testing.T) {
+	writes := 24_000
+	if testing.Short() {
+		writes = 6_000
+	}
+	const nprocs = 8 // pid 0 writes, 1..6 read, 7 stays cold
+	const accounts = 8
+	const perAccount = 1_000
+	const total = accounts * perAccount
+	pool := pmem.New(1<<26, nil)
+	in, err := New(pool, objects.BankSpec{}, Config{
+		NProcs: nprocs, ReadFastPath: true, CompactEvery: 48, LogCapacity: 1 << 12,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h0 := in.Handle(0)
+	for a := uint64(1); a <= accounts; a++ {
+		if _, _, err := h0.Update(objects.BankDeposit, a, perAccount); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var writerDone atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer writerDone.Store(true)
+		rng := uint64(0x9e3779b97f4a7c15)
+		for i := 0; i < writes; i++ {
+			rng ^= rng << 13
+			rng ^= rng >> 7
+			rng ^= rng << 17
+			from := 1 + rng%accounts
+			to := 1 + (rng>>8)%accounts
+			amt := 1 + (rng>>16)%32
+			if _, _, err := h0.Update(objects.BankTransfer, from, to, amt); err != nil {
+				panic(err)
+			}
+		}
+	}()
+	for pid := 1; pid <= 6; pid++ {
+		wg.Add(1)
+		go func(pid int) {
+			defer wg.Done()
+			h := in.Handle(pid)
+			i := 0
+			for !writerDone.Load() {
+				if got := h.Read(objects.BankTotal); got != total {
+					t.Errorf("p%d: torn view: total %d != %d", pid, got, total)
+					return
+				}
+				i++
+				if i%4 == 0 {
+					// Let the writer race ahead so this reader's next
+					// walk spans several compaction cuts.
+					time.Sleep(200 * time.Microsecond)
+				}
+			}
+			if got := h.Read(objects.BankTotal); got != total {
+				t.Errorf("p%d: final total %d != %d", pid, got, total)
+			}
+		}(pid)
+	}
+	wg.Wait()
+
+	cold := in.Handle(7)
+	if got := cold.Read(objects.BankTotal); got != total {
+		t.Fatalf("cold handle: total %d != %d", got, total)
 	}
 }

@@ -41,9 +41,9 @@ type Config struct {
 	WaitFree     bool
 	LocalViews   bool
 	CompactEvery int
-	// ReadFastPath enables the version-stamped read fast path, so the
-	// deterministic scheduler can interleave epoch checks, adoption and
-	// publication at single-step granularity (and crash between them).
+	// ReadFastPath enables the read fast path, so the deterministic
+	// scheduler can interleave epoch checks with updates at single-step
+	// granularity (and crash between them).
 	ReadFastPath bool
 }
 

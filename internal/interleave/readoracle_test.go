@@ -27,7 +27,7 @@ import (
 //   - read-your-writes: a read after the handle's own update returns at
 //     least that update's return value (the update is in the view).
 //
-// Compaction is on so epoch checks, adoption, publication and base
+// Compaction is on so epoch checks, catch-up walks and base
 // restores all interleave with the scheduler's preemptions; the final
 // read cross-checks that no increment was lost. ONLL_ORACLE_SEEDS
 // overrides the seed count (CI bounds it; -short trims it).
@@ -131,11 +131,9 @@ func runReadOracle(t *testing.T, fast, wf bool, seed int64) {
 // the oracle: under fully deterministic seeded interleavings, each
 // process mints FRESH keys into the ordered map (its own disjoint key
 // region, like workload.YCSBD's streams) and reads chase recency —
-// mostly its own latest insert, sometimes the map size. This is the
-// churn shape where the update-side publication keeps the shared slot
-// on the insert frontier, so the run is repeated with it enabled and
-// disabled (core.AdoptPolicy.DisableUpdatePublish) and, in both modes,
-// every handle must preserve:
+// mostly its own latest insert, sometimes the map size. Under this
+// churn almost every read finds the epoch moved and walks from its own
+// view, so every handle must preserve:
 //
 //   - read-your-writes: a get of a key this handle inserted returns
 //     the exact value it wrote (its region is private, so the value
@@ -143,12 +141,11 @@ func runReadOracle(t *testing.T, fast, wf bool, seed int64) {
 //   - per-handle view monotonicity: the map size a handle observes
 //     never shrinks (keys are only ever inserted).
 //
-// An eager adoption threshold plus compaction forces serves, stamps,
-// adoptions and base restores to interleave with the scheduler's
-// preemptions; the final cross-check counts every insert. The whole
-// matrix runs with full-snapshot AND delta-chain compaction, so the
-// fast path's epoch checks and adoptions interleave with delta cuts,
-// ordered-map diff emission and chain-base collapses too.
+// Compaction forces epoch checks, catch-up walks and base restores to
+// interleave with the scheduler's preemptions; the final cross-check
+// counts every insert. The run repeats with full-snapshot AND
+// delta-chain compaction, so the epoch checks interleave with delta
+// cuts, ordered-map diff emission and chain-base collapses too.
 func TestDurableReadOracleYCSBD(t *testing.T) {
 	seeds := 8
 	if testing.Short() {
@@ -161,18 +158,16 @@ func TestDurableReadOracleYCSBD(t *testing.T) {
 		}
 		seeds = n
 	}
-	for _, noPub := range []bool{false, true} {
-		for _, deltaSnap := range []bool{false, true} {
-			t.Run(fmt.Sprintf("updatePublish=%v/delta=%v", !noPub, deltaSnap), func(t *testing.T) {
-				for seed := 0; seed < seeds; seed++ {
-					runReadLatestOracle(t, noPub, deltaSnap, int64(seed))
-				}
-			})
-		}
+	for _, deltaSnap := range []bool{false, true} {
+		t.Run(fmt.Sprintf("delta=%v", deltaSnap), func(t *testing.T) {
+			for seed := 0; seed < seeds; seed++ {
+				runReadLatestOracle(t, deltaSnap, int64(seed))
+			}
+		})
 	}
 }
 
-func runReadLatestOracle(t *testing.T, noPub, deltaSnap bool, seed int64) {
+func runReadLatestOracle(t *testing.T, deltaSnap bool, seed int64) {
 	t.Helper()
 	const nprocs = 3
 	const perProc = 16
@@ -182,11 +177,6 @@ func runReadLatestOracle(t *testing.T, noPub, deltaSnap bool, seed int64) {
 		NProcs: nprocs, Gate: ctl, ReadFastPath: true,
 		CompactEvery: 6, LogCapacity: 512,
 		DeltaSnapshots: deltaSnap, MaxDeltaChain: 3,
-		AdoptPolicy: core.AdoptPolicy{
-			FixedMinLag:          2, // adopt eagerly: tiny runs must still exercise the slot
-			PublishLag:           1,
-			DisableUpdatePublish: noPub,
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -216,14 +206,14 @@ func runReadLatestOracle(t *testing.T, noPub, deltaSnap bool, seed int64) {
 					k := base + minted - (r - 1)
 					want := k*3 + (minted - (r - 1))
 					if got := h.Read(objects.OMapGet, k); got != want {
-						t.Errorf("seed=%d noPub=%v delta=%v p%d: get(own %#x) = %d, want %d (read-your-writes violated)",
-							seed, noPub, deltaSnap, pid, k, got, want)
+						t.Errorf("seed=%d delta=%v p%d: get(own %#x) = %d, want %d (read-your-writes violated)",
+							seed, deltaSnap, pid, k, got, want)
 					}
 				default:
 					got := h.Read(objects.OMapLen)
 					if got < sizeSeen {
-						t.Errorf("seed=%d noPub=%v delta=%v p%d: len %d after observing %d (view regressed)",
-							seed, noPub, deltaSnap, pid, got, sizeSeen)
+						t.Errorf("seed=%d delta=%v p%d: len %d after observing %d (view regressed)",
+							seed, deltaSnap, pid, got, sizeSeen)
 					}
 					sizeSeen = got
 				}
@@ -246,19 +236,19 @@ func runReadLatestOracle(t *testing.T, noPub, deltaSnap bool, seed int64) {
 	}
 	for _, ch := range outcomes {
 		if r := <-ch; r != nil {
-			t.Fatalf("seed=%d noPub=%v delta=%v: process failed: %v", seed, noPub, deltaSnap, r)
+			t.Fatalf("seed=%d delta=%v: process failed: %v", seed, deltaSnap, r)
 		}
 	}
 	if got, want := in.Handle(0).Read(objects.OMapLen), totalInserts.Load(); got != want {
-		t.Fatalf("seed=%d noPub=%v delta=%v: final size %d, want %d inserts", seed, noPub, deltaSnap, got, want)
+		t.Fatalf("seed=%d delta=%v: final size %d, want %d inserts", seed, deltaSnap, got, want)
 	}
 }
 
 // TestDurableReadOracleCrashes drives the fast path through the
 // deterministic crash sweep: seeded interleavings crashed at several
 // points, recovered, and checked against Definition 5.6 — with the
-// fast path on in both eras, so epoch state and the shared view slot
-// are rebuilt from a recovered trace rather than a live one.
+// fast path on in both eras, so epoch state is rebuilt from a
+// recovered trace rather than a live one.
 func TestDurableReadOracleCrashes(t *testing.T) {
 	schedSeeds := 3
 	if testing.Short() {

@@ -10,7 +10,11 @@ package plog
 //	[2] prevAddr   body address of the chain predecessor (0 for a base)
 //	[3] prevWords  predecessor body length in words
 //	[4] prevSum    predecessor body checksum
-//	[5...] payload (core's encoded snapshot or delta)
+//	[5] cap        capacity in words of the region holding this body
+//	[6] nfree      number of free-list entries that follow
+//	[7...]         nfree (addr, cap) pairs: the free chain regions as of
+//	               this append, then the payload (core's encoded
+//	               snapshot or delta)
 //
 // bodySum covers the whole frame, so the back-reference is transitively
 // chained: a delta only verifies if its predecessor's exact bytes
@@ -24,8 +28,11 @@ package plog
 // which would destroy a chain base that later deltas still reference.
 // Regions are recycled through a free list only once a NEW base record
 // has been fenced (the old chain is then unreachable from the live
-// head); regions of a chain that was live at a crash are leaked — the
-// pool is a bump allocator and the leak is one chain per crash.
+// head). The pool is a bump allocator and the free list is volatile, so
+// every body records its own region's capacity and the free list as
+// it stands once the body is live (for a base, including the chain it
+// supersedes): recovery restores both from the live chain, and a
+// crash leaks no chain region.
 //
 // Unlike snapshot cuts, a delta cut truncates the log fully: the chain
 // stays reachable through body back-references, so the log itself never
@@ -46,7 +53,9 @@ const (
 	cbPrevAddr  = 2
 	cbPrevWords = 3
 	cbPrevSum   = 4
-	cbHdrWords  = 5
+	cbCap       = 5
+	cbNFree     = 6
+	cbHdrWords  = 7 // fixed frame; the free list and payload follow
 )
 
 // Body kinds.
@@ -71,9 +80,10 @@ var ErrChain = errors.New("plog: delta chain unresolvable")
 type chainLink struct {
 	execIdx uint64
 	addr    pmem.Addr
-	words   int    // body words (frame + payload)
+	words   int    // body words (frame + free list + payload)
+	payload int    // payload words
 	sum     uint64 // checksum over the body
-	cap     int    // region capacity for reuse; 0 = unknown (post-crash)
+	cap     int    // region capacity for reuse
 	base    bool
 }
 
@@ -111,7 +121,7 @@ func (l *Log) ChainDeltaWords() int {
 	w := 0
 	for _, c := range l.chain {
 		if !c.base {
-			w += c.words - cbHdrWords
+			w += c.payload
 		}
 	}
 	return w
@@ -144,24 +154,46 @@ func (l *Log) allocBody(need int) (pmem.Addr, int, error) {
 // plain snapshot) has been fenced.
 func (l *Log) releaseChain() {
 	for _, c := range l.chain {
-		if c.cap > 0 {
-			l.chainPool = append(l.chainPool, chainRegion{addr: c.addr, cap: c.cap})
-		}
+		l.chainPool = append(l.chainPool, chainRegion{addr: c.addr, cap: c.cap})
 	}
 	l.chain = l.chain[:0]
 }
 
+// payloadOff returns the offset of a body's payload, past the fixed
+// frame and the free list, or -1 when the free list overruns the body.
+func payloadOff(body []uint64) int {
+	if n := body[cbNFree]; n <= uint64(len(body)-cbHdrWords)/2 {
+		return cbHdrWords + 2*int(n)
+	}
+	return -1
+}
+
 // appendChainBody writes one chain body and its KindDelta record,
 // durable under the append's single fence. prev* is zero for a base.
+// The body's free list is the pool after this body's own region is
+// claimed, plus — for a base — the chain it supersedes.
 func (l *Log) appendChainBody(bodyKind uint64, payload []uint64, execIdx uint64, prev chainLink) (uint64, chainLink, error) {
-	body := l.chainBuf[:0]
-	body = append(body, bodyKind, execIdx, uint64(prev.addr), uint64(prev.words), prev.sum)
-	body = append(body, payload...)
-	l.chainBuf = body
-	addr, cap, err := l.allocBody(len(body))
+	base := bodyKind == chainBodyBase
+	nfree := len(l.chainPool)
+	if base {
+		nfree += len(l.chain)
+	}
+	addr, cap, err := l.allocBody(cbHdrWords + 2*nfree + len(payload))
 	if err != nil {
 		return 0, chainLink{}, err
 	}
+	body := append(l.chainBuf[:0], bodyKind, execIdx, uint64(prev.addr), uint64(prev.words), prev.sum, uint64(cap), 0)
+	for _, r := range l.chainPool {
+		body = append(body, uint64(r.addr), uint64(r.cap))
+	}
+	if base {
+		for _, c := range l.chain {
+			body = append(body, uint64(c.addr), uint64(c.cap))
+		}
+	}
+	body[cbNFree] = uint64(len(body)-cbHdrWords) / 2
+	body = append(body, payload...)
+	l.chainBuf = body
 	l.pool.StoreRange(l.pid, addr, body)
 	l.pool.FlushRange(l.pid, addr, len(body)*pmem.WordSize)
 	sum := checksum(body)
@@ -174,8 +206,8 @@ func (l *Log) appendChainBody(bodyKind uint64, payload []uint64, execIdx uint64,
 		return 0, chainLink{}, err
 	}
 	return seq, chainLink{
-		execIdx: execIdx, addr: addr, words: len(body), sum: sum,
-		cap: cap, base: bodyKind == chainBodyBase,
+		execIdx: execIdx, addr: addr, words: len(body), payload: len(payload),
+		sum: sum, cap: cap, base: base,
 	}, nil
 }
 
@@ -223,7 +255,7 @@ func (l *Log) readChainBody(addr pmem.Addr, words int, sum uint64, rd wordReader
 	for i := range body {
 		body[i] = rd(addr + pmem.Addr(i*pmem.WordSize))
 	}
-	if checksum(body) != sum || body[cbKind] > chainBodyDelta {
+	if checksum(body) != sum || body[cbKind] > chainBodyDelta || payloadOff(body) < 0 {
 		return nil, ErrChain
 	}
 	return body, nil
@@ -242,7 +274,7 @@ func (l *Log) resolveLinks(rec Record, rd wordReader) ([]chainLink, [][]uint64, 
 	var bodies [][]uint64
 	body := rec.Body
 	link := chainLink{
-		execIdx: body[cbExec], addr: rec.bodyAddr, words: len(body),
+		execIdx: body[cbExec], addr: rec.bodyAddr, words: len(body), payload: len(body) - payloadOff(body),
 		sum: checksum(body), base: body[cbKind] == chainBodyBase,
 	}
 	for {
@@ -266,7 +298,7 @@ func (l *Log) resolveLinks(rec Record, rd wordReader) ([]chainLink, [][]uint64, 
 		}
 		body = prev
 		link = chainLink{
-			execIdx: body[cbExec], addr: prevAddr, words: prevWords,
+			execIdx: body[cbExec], addr: prevAddr, words: prevWords, payload: len(body) - payloadOff(body),
 			sum: prevSum, base: body[cbKind] == chainBodyBase,
 		}
 	}
@@ -291,29 +323,48 @@ func (l *Log) ResolveChain(rec Record) ([]ChainElem, error) {
 		elems[i] = ChainElem{
 			ExecIdx: links[i].execIdx,
 			Base:    links[i].base,
-			Payload: bodies[i][cbHdrWords:],
+			Payload: bodies[i][payloadOff(bodies[i]):],
 		}
 	}
 	return elems, nil
 }
 
 // rebuildChain reconstructs the volatile chain state from the live
-// records after Open: the newest KindDelta record defines the chain. An
-// unresolvable chain leaves the state empty — the log stays usable and
-// the next cut starts a fresh base; recovery surfaces the damage
+// records after Open: the newest KindDelta record defines the chain,
+// its links' region capacities and, from its head body, the free list.
+// An unresolvable chain leaves the state empty — the log stays usable
+// and the next cut starts a fresh base; recovery surfaces the damage
 // through its own resolution attempt.
 func (l *Log) rebuildChain(recs []Record) {
 	l.chain = l.chain[:0]
+	l.chainPool = l.chainPool[:0]
 	l.chainSeq = 0
 	for i := len(recs) - 1; i >= 0; i-- {
 		if recs[i].Kind != KindDelta {
 			continue
 		}
-		links, _, err := l.resolveLinks(recs[i], l.cachedReader())
-		if err == nil {
-			l.chain = links // caps are 0: post-crash regions are leaked
-			l.chainSeq = recs[i].Seq
+		links, bodies, err := l.resolveLinks(recs[i], l.cachedReader())
+		if err != nil {
+			return
 		}
+		// A checksummed body of words words was written at addr, so
+		// the region holds at least that many even if its recorded
+		// capacity is out of bounds.
+		for j := range links {
+			links[j].cap = links[j].words
+			if c := int(bodies[j][cbCap]); c > links[j].words && l.pool.Contains(links[j].addr, c*pmem.WordSize) {
+				links[j].cap = c
+			}
+		}
+		head := bodies[len(bodies)-1]
+		for k := cbHdrWords; k < payloadOff(head); k += 2 {
+			r := chainRegion{addr: pmem.Addr(head[k]), cap: int(head[k+1])}
+			if r.cap > 0 && l.pool.Contains(r.addr, r.cap*pmem.WordSize) {
+				l.chainPool = append(l.chainPool, r)
+			}
+		}
+		l.chain = links
+		l.chainSeq = recs[i].Seq
 		return
 	}
 }

@@ -737,10 +737,10 @@ func (r *Record) ChainBase() bool {
 // DeltaPayload returns the caller payload of a KindDelta record's body
 // (the chain frame stripped).
 func (r *Record) DeltaPayload() []uint64 {
-	if r.Kind != KindDelta || len(r.Body) < cbHdrWords {
+	if r.Kind != KindDelta || len(r.Body) < cbHdrWords || payloadOff(r.Body) < 0 {
 		return nil
 	}
-	return r.Body[cbHdrWords:]
+	return r.Body[payloadOff(r.Body):]
 }
 
 // ChainBody returns the record's body region as (address, words) and
@@ -947,7 +947,7 @@ func (l *Log) probeSlot(seq uint64, rd wordReader) (Record, SlotStatus) {
 		if checksum(body) != sum {
 			return Record{}, SlotBadDelta // torn chain body: record never appended
 		}
-		if body[cbKind] > chainBodyDelta || body[cbExec] != words[2] {
+		if body[cbKind] > chainBodyDelta || body[cbExec] != words[2] || payloadOff(body) < 0 {
 			return Record{}, SlotBadDelta
 		}
 		rec.Body = body

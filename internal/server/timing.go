@@ -70,8 +70,7 @@ func (r *Request) CSVRow() string {
 // disarmed ring (Config.TimingCap < 0) retains nothing AND gates off
 // every per-request clock read: nowNs is the single place the request
 // timeline touches the clock, so the capture cost is zero when capture
-// is off — the same discipline as the core cost model's sample-gated
-// EWMA probes, enforced by the hotpath analyzer on the batcher.
+// is off, enforced by the hotpath analyzer on the batcher.
 type timingRing struct {
 	armed bool
 	mu    sync.Mutex

@@ -94,11 +94,10 @@ type State interface {
 
 // Copier is an optional State extension: CopyFrom replaces the receiver
 // with a deep copy of src (which must be a state of the same spec),
-// reusing the receiver's existing storage where possible. It is the
-// allocation-light alternative to Clone used by core's view-adoption
-// fast path, where the same destination state is overwritten over and
-// over. States that do not implement it are copied through
-// Snapshot/Restore instead.
+// reusing the receiver's existing storage where possible: the
+// allocation-light alternative to Clone when the same destination
+// state is overwritten over and over. States that do not implement it
+// are copied through Snapshot/Restore instead.
 type Copier interface {
 	CopyFrom(src State)
 }
@@ -106,10 +105,8 @@ type Copier interface {
 // Sizer is an optional State extension paired with Copier: SizeHint
 // returns the approximate size of the state in 64-bit words — the
 // volume one Copy into a same-shaped receiver moves. It must be O(1)
-// and allocation-free: core's cost-aware adoption policy consults it
-// on the read path to price a state copy against replaying the trace
-// suffix, so it may be called before every lagging read. The hint is
-// an estimate (capacity vs live entries, table overheads), not a wire
+// and allocation-free, so it can be sampled while a run is measured.
+// The hint is an estimate (capacity vs live entries, table overheads), not a wire
 // format; only its magnitude matters.
 type Sizer interface {
 	SizeHint() int

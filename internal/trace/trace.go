@@ -130,9 +130,8 @@ func (n *Node) Idx() uint64 { return n.idx.Load() }
 // (exclusive) execution index downTo would replay, saturating at 0 when
 // n is at or below downTo. Execution indices are dense — every insert
 // takes its predecessor's index plus one — so the distance is pure
-// arithmetic: no node is dereferenced, which is what lets core's
-// cost-aware adoption policy price a replay BEFORE committing to the
-// walk. When a compaction base sits between downTo and n the actual
+// arithmetic: no node is dereferenced, so a replay can be priced
+// before committing to the walk. When a compaction base sits between downTo and n the actual
 // walk is shorter (it stops at the base); the result is then an upper
 // bound on the replay length.
 func (n *Node) DistanceFrom(downTo uint64) uint64 {

@@ -482,7 +482,7 @@ func TestEpochCoversAvailability(t *testing.T) {
 }
 
 // TestDistanceFrom pins the arithmetic node-distance helper: the
-// replay length core's adoption policy prices before any walk.
+// replay length of a walk, computed before any walk.
 func TestDistanceFrom(t *testing.T) {
 	tr := NewLockFree(nil)
 	var last *Node

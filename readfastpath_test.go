@@ -58,8 +58,7 @@ func TestReadFastPathPfencesYCSBC(t *testing.T) {
 
 // TestReadFastPathPfencesUpdates: update-only counter run, fast path
 // on, compaction off — exactly one persistent fence per update, no
-// more, no fewer (the epoch bump and shared-view publication are
-// volatile and must stay so).
+// more, no fewer (the epoch bump is volatile and must stay so).
 func TestReadFastPathPfencesUpdates(t *testing.T) {
 	const nprocs = 8
 	const perProc = 300

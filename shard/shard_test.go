@@ -412,7 +412,7 @@ func TestShardFaultIsolation(t *testing.T) {
 }
 
 // TestShardAggregateAllocs pins the sharded aggregate path's
-// allocation profile: after warmup (fast-path views adopted, scratch
+// allocation profile: after warmup (fast-path views validated, scratch
 // buffer grown to the shard count), ReadSum and a reused-buffer
 // ReadEachInto must not allocate per call. ReadEach without a buffer
 // is the documented allocating variant.
@@ -428,8 +428,8 @@ func TestShardAggregateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Warm up: first aggregate grows the scratch buffer and may adopt
-	// fast-path views.
+	// Warm up: first aggregate grows the scratch buffer and validates
+	// the fast-path views.
 	for i := 0; i < 8; i++ {
 		h.ReadSum(objects.MapLen)
 	}

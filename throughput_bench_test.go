@@ -114,8 +114,8 @@ func BenchmarkThroughput(b *testing.B) {
 // BenchmarkThroughputYCSB drives the five YCSB mixes (zipfian keys over
 // the ordered map — the index-tree-shaped object) at each scaling
 // point: A = 50/50 get/put, B = 95/5 read-mostly, C = read-only, D =
-// read-latest (reads chase the insert frontier, stressing view
-// adoption under churn), E = order queries (floor/ceil/select) plus
+// read-latest (reads chase the insert frontier, so the epoch check
+// misses and views catch up under churn), E = order queries (floor/ceil/select) plus
 // inserts. The map is preloaded with the key space, as YCSB loads its
 // dataset, so read-heavy mixes hit a populated index. `onllbench -exp
 // et` records the same five mixes into BENCH_throughput.json.
