@@ -14,9 +14,13 @@ import (
 // `go test -run 'A|B'` line whose alternative names a deleted or
 // renamed test still passes, silently running less than it claims.
 // Every |-alternative of every -run pattern in .github/workflows/ci.yml
-// must match at least one `func Test…` in the packages that line names.
-// Lines with -bench are skipped: there -run deliberately matches
-// nothing so only benchmarks run.
+// must match at least one `func Test…` or `func Fuzz…` (-run selects
+// both) in the packages that line names. Lines with -bench are skipped:
+// there -run deliberately matches nothing so only benchmarks run.
+//
+// A -fuzz pattern must match exactly one `func Fuzz…` in each package
+// its line names — go test refuses to fuzz more than one target, and a
+// pattern matching none fuzzes nothing.
 func TestCIRunPatternsMatch(t *testing.T) {
 	lines, err := ciRunLines(filepath.Join(".github", "workflows", "ci.yml"))
 	if err != nil {
@@ -33,6 +37,9 @@ func TestCIRunPatternsMatch(t *testing.T) {
 				t.Fatalf("%s: %v", l.text, err)
 			}
 			names = append(names, ns...)
+			if l.fuzz != "" {
+				checkFuzzPattern(t, l, pkg, ns)
+			}
 		}
 		for _, alt := range strings.Split(l.pattern, "|") {
 			// -run matches a test's top-level name against the part
@@ -56,10 +63,33 @@ func TestCIRunPatternsMatch(t *testing.T) {
 	}
 }
 
-// ciRunLine is one `go test -run PATTERN ... PKGS` invocation.
+// checkFuzzPattern requires l's -fuzz pattern to match exactly one of
+// the Fuzz functions among names, the test functions declared in pkg.
+func checkFuzzPattern(t *testing.T, l ciRunLine, pkg string, names []string) {
+	t.Helper()
+	re, err := regexp.Compile(l.fuzz)
+	if err != nil {
+		t.Errorf("%s: -fuzz %q: %v", l.text, l.fuzz, err)
+		return
+	}
+	var matched []string
+	for _, n := range names {
+		if strings.HasPrefix(n, "Fuzz") && re.MatchString(n) {
+			matched = append(matched, n)
+		}
+	}
+	if len(matched) != 1 {
+		t.Errorf("%s: -fuzz %q matches %d fuzz targets in %s (%v), want exactly 1",
+			l.text, l.fuzz, len(matched), pkg, matched)
+	}
+}
+
+// ciRunLine is one `go test -run PATTERN ... PKGS` invocation, with
+// its -fuzz pattern if it fuzzes.
 type ciRunLine struct {
 	text    string
 	pattern string
+	fuzz    string
 	pkgs    []string
 }
 
@@ -89,6 +119,9 @@ func ciRunLines(path string) ([]ciRunLine, error) {
 			case f == "-run" && i+1 < len(fields):
 				i++
 				l.pattern = strings.Trim(fields[i], "'")
+			case f == "-fuzz" && i+1 < len(fields):
+				i++
+				l.fuzz = strings.Trim(fields[i], "'")
 			case f == "-bench":
 				bench = true
 			case f == "." || strings.HasPrefix(f, "./"):
@@ -102,10 +135,10 @@ func ciRunLines(path string) ([]ciRunLine, error) {
 	return out, sc.Err()
 }
 
-var testFuncRE = regexp.MustCompile(`(?m)^func (Test\w*)\(`)
+var testFuncRE = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w*)\(`)
 
-// testFuncs lists the Test functions declared in the _test.go files of
-// pkg, a directory relative to the module root (this package's
+// testFuncs lists the Test and Fuzz functions declared in the _test.go
+// files of pkg, a directory relative to the module root (this package's
 // directory).
 func testFuncs(pkg string) ([]string, error) {
 	files, err := filepath.Glob(filepath.Join(pkg, "*_test.go"))

@@ -1064,7 +1064,11 @@ func Recover(pool *pmem.Pool, sp spec.Spec, cfg Config) (*Instance, *Report, err
 	}
 	for pid := 0; pid < nprocs; pid++ {
 		base := pmem.Addr(pool.Root(rb + rootLogBase + pid))
-		l, err := plog.Open(pool, pid, base)
+		// The records Open's scan validated serve strict mode directly,
+		// and the chain it resolved serves the coverage check and the
+		// fold below: every slot and body is read once. They die with
+		// this call's locals, so no body outlives Recover.
+		l, opened, err := plog.OpenRecords(pool, pid, base)
 		if err != nil {
 			if !cfg.Salvage {
 				return nil, nil, fmt.Errorf("core: reopening log of p%d: %w", pid, err)
@@ -1089,7 +1093,7 @@ func Recover(pool *pmem.Pool, sp spec.Spec, cfg Config) (*Instance, *Report, err
 			}
 			live = s.Live
 		} else {
-			live = l.Records()
+			live = opened
 			collect(pid, l, live)
 		}
 		// Truncation-coverage invariant: headSeq > 0 means compaction

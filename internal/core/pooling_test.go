@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -120,5 +122,48 @@ func TestUpdateSteadyStateZeroAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("steady-state update allocates %.2f objects/op, want 0", avg)
+	}
+}
+
+// TestDeltaUpdateAllocBytes pins the heap bytes an update allocates
+// under delta-chain compaction, amortized over the cuts, at the
+// benchmark's library configuration (ordered map over 1,024 keys, 2
+// handles, DeltaSnapshots, CompactEvery 1024). The 116 B/update it
+// measures on go1.24 break down (DESIGN.md §3.2) into 72 B of trace
+// nodes — the handle whose base cuts sever the trace pools every dead
+// node, so the other handle's freelist stays empty and it allocates
+// each node — 18 B each for a chain base's Snapshot() copy (kept by the
+// trace's base node) and its snapEncode payload, and 8 B of view
+// restores from another handle's base.
+func TestDeltaUpdateAllocBytes(t *testing.T) {
+	pool := pmem.New(1<<26, nil)
+	in, err := New(pool, objects.OrderedMapSpec{}, Config{
+		NProcs: 2, LogCapacity: 1 << 12, ReadFastPath: true,
+		DeltaSnapshots: true, CompactEvery: 1 << 10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	update := func(i int) {
+		if _, _, err := in.Handle(i%2).Update(objects.OMapPut, uint64(rng.Intn(1024)), uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const warm, n = 1 << 15, 1 << 17
+	for i := 0; i < warm; i++ {
+		update(i)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := warm; i < warm+n; i++ {
+		update(i)
+	}
+	runtime.ReadMemStats(&after)
+	perUpdate := float64(after.TotalAlloc-before.TotalAlloc) / n
+	t.Logf("%.1f B/update; node freelists %d and %d", perUpdate,
+		len(in.Handle(0).freeNodes), len(in.Handle(1).freeNodes))
+	if perUpdate > 120 {
+		t.Fatalf("delta-compacting updates allocate %.1f B/update, want at most 120", perUpdate)
 	}
 }

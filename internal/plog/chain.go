@@ -127,6 +127,16 @@ func (l *Log) ChainDeltaWords() int {
 	return w
 }
 
+// ChainBodyWords returns the total body words (frames, free lists and
+// payloads) of the live chain's links: what resolving the chain reads.
+func (l *Log) ChainBodyWords() int {
+	w := 0
+	for _, c := range l.chain {
+		w += c.words
+	}
+	return w
+}
+
 // allocBody claims a region of at least need words for a chain body:
 // the free list first, a fresh allocation otherwise (with headroom,
 // like the snapshot regions).
@@ -248,13 +258,11 @@ func (l *Log) AppendDelta(payload []uint64, execIdx uint64) (uint64, error) {
 // readChainBody reads and validates one body at an untrusted
 // (addr, words, sum) reference.
 func (l *Log) readChainBody(addr pmem.Addr, words int, sum uint64, rd wordReader) ([]uint64, error) {
-	if words < cbHdrWords+1 || words > (1<<28) || !l.pool.Contains(addr, words*pmem.WordSize) {
+	if words < cbHdrWords+1 || !l.holds(addr, words) {
 		return nil, ErrChain
 	}
 	body := make([]uint64, words)
-	for i := range body {
-		body[i] = rd(addr + pmem.Addr(i*pmem.WordSize))
-	}
+	rd(addr, body)
 	if checksum(body) != sum || body[cbKind] > chainBodyDelta || payloadOff(body) < 0 {
 		return nil, ErrChain
 	}
@@ -310,13 +318,28 @@ func (l *Log) resolveLinks(rec Record, rd wordReader) ([]chainLink, [][]uint64, 
 	return links, bodies, nil
 }
 
+// resolvedChain is a chain resolveLinks returned: links and bodies,
+// base first.
+type resolvedChain struct {
+	links  []chainLink
+	bodies [][]uint64
+}
+
 // ResolveChain resolves a KindDelta record to its full chain, base
 // first, reading through the cache (the recovery path). Every element
-// carries the caller payload with the chain frame stripped.
+// carries the caller payload with the chain frame stripped. A record
+// OpenRecords returned with the chain Open resolved is served from that
+// resolution: one recovery reads each chain body once.
 func (l *Log) ResolveChain(rec Record) ([]ChainElem, error) {
-	links, bodies, err := l.resolveLinks(rec, l.cachedReader())
-	if err != nil {
-		return nil, err
+	var links []chainLink
+	var bodies [][]uint64
+	if rec.chain != nil {
+		links, bodies = rec.chain.links, rec.chain.bodies
+	} else {
+		var err error
+		if links, bodies, err = l.resolveLinks(rec, l.cachedReader()); err != nil {
+			return nil, err
+		}
 	}
 	elems := make([]ChainElem, len(links))
 	for i := range links {
@@ -332,8 +355,9 @@ func (l *Log) ResolveChain(rec Record) ([]ChainElem, error) {
 // rebuildChain reconstructs the volatile chain state from the live
 // records after Open: the newest KindDelta record defines the chain,
 // its links' region capacities and, from its head body, the free list.
-// An unresolvable chain leaves the state empty — the log stays usable
-// and the next cut starts a fresh base; recovery surfaces the damage
+// The resolution stays attached to that record for ResolveChain. An
+// unresolvable chain leaves the state empty — the log stays usable and
+// the next cut starts a fresh base; recovery surfaces the damage
 // through its own resolution attempt.
 func (l *Log) rebuildChain(recs []Record) {
 	l.chain = l.chain[:0]
@@ -352,18 +376,19 @@ func (l *Log) rebuildChain(recs []Record) {
 		// capacity is out of bounds.
 		for j := range links {
 			links[j].cap = links[j].words
-			if c := int(bodies[j][cbCap]); c > links[j].words && l.pool.Contains(links[j].addr, c*pmem.WordSize) {
+			if c := int(bodies[j][cbCap]); c > links[j].words && l.holds(links[j].addr, c) {
 				links[j].cap = c
 			}
 		}
 		head := bodies[len(bodies)-1]
 		for k := cbHdrWords; k < payloadOff(head); k += 2 {
 			r := chainRegion{addr: pmem.Addr(head[k]), cap: int(head[k+1])}
-			if r.cap > 0 && l.pool.Contains(r.addr, r.cap*pmem.WordSize) {
+			if r.cap > 0 && l.holds(r.addr, r.cap) {
 				l.chainPool = append(l.chainPool, r)
 			}
 		}
-		l.chain = links
+		recs[i].chain = &resolvedChain{links: links, bodies: bodies}
+		l.chain = append([]chainLink(nil), links...)
 		l.chainSeq = recs[i].Seq
 		return
 	}

@@ -60,7 +60,9 @@
 // Snapshot records implement the memory-reclamation extension of paper
 // Section 8: a record points to a separately written state-snapshot
 // region; the single fence of the append covers both the region's lines
-// and the record's lines.
+// and the record's lines. The region body is a small frame (the region
+// capacities Open needs to reuse the ping-pong pair after a crash)
+// followed by the state; regionWords and regionChecksum cover both.
 package plog
 
 import (
@@ -381,24 +383,29 @@ const (
 // geometry cannot frame slots or overflow chunks at attacker-chosen
 // addresses.
 func Open(pool *pmem.Pool, pid int, base pmem.Addr) (*Log, error) {
+	l, _, err := OpenRecords(pool, pid, base)
+	return l, err
+}
+
+// OpenRecords is Open that also returns the live records its scan
+// validated — what Records would return right after it, without
+// reading the slots a second time. A chain that Open resolved to
+// rebuild the log's chain state stays attached to its record, so
+// ResolveChain on that record reads no body again; the bodies are
+// released with the records.
+func OpenRecords(pool *pmem.Pool, pid int, base pmem.Addr) (*Log, []Record, error) {
 	if !pool.Contains(base, hdrWords*pmem.WordSize) {
-		return nil, ErrCorrupt
-	}
-	rd := func(i int) uint64 { return pool.Load(pid, base+pmem.Addr(i*pmem.WordSize)) }
-	if rd(hdrMagic) != logMagic {
-		return nil, ErrCorrupt
+		return nil, nil, ErrCorrupt
 	}
 	var hdr [hdrWords]uint64
-	for i := range hdr {
-		hdr[i] = rd(i)
-	}
-	if hdr[hdrSum] != checksum(hdr[:hdrSum]) {
-		return nil, ErrCorrupt
+	pool.LoadRange(pid, base, hdr[:])
+	if hdr[hdrMagic] != logMagic || hdr[hdrSum] != checksum(hdr[:hdrSum]) {
+		return nil, nil, ErrCorrupt
 	}
 	if hdr[hdrCapacity] > maxPlausibleCapacity || hdr[hdrMaxOps] > maxPlausibleOps ||
 		hdr[hdrInlineOps] > maxPlausibleOps || hdr[hdrSlotW] > maxPlausibleCapacity ||
 		hdr[hdrOvfWords] > maxPlausibleCapacity {
-		return nil, ErrCorrupt
+		return nil, nil, ErrCorrupt
 	}
 	l := &Log{
 		pool: pool, pid: pid, base: base,
@@ -410,10 +417,10 @@ func Open(pool *pmem.Pool, pid int, base pmem.Addr) (*Log, error) {
 		headSeq:   hdr[hdrHeadSeq],
 	}
 	if l.capacity < 1 || l.maxOps < 1 || l.inlineOps < 1 || l.inlineOps > l.maxOps {
-		return nil, ErrCorrupt
+		return nil, nil, ErrCorrupt
 	}
 	if l.slotW != alignLineWords(slotWordsInline(l.maxOps, l.inlineOps)) {
-		return nil, ErrCorrupt
+		return nil, nil, ErrCorrupt
 	}
 	// The ring width is a floor-checked budget, not an exact recompute:
 	// adaptive growth creates logs with rings above the formula's 1/8
@@ -423,13 +430,13 @@ func Open(pool *pmem.Pool, pid int, base pmem.Addr) (*Log, error) {
 	// allocated region.
 	if floor := ovfRegionWords(l.capacity, l.maxOps, l.inlineOps); floor == 0 {
 		if l.ovfWords != 0 {
-			return nil, ErrCorrupt
+			return nil, nil, ErrCorrupt
 		}
 	} else if l.ovfWords < floor || l.ovfWords%pmem.LineWords != 0 {
-		return nil, ErrCorrupt
+		return nil, nil, ErrCorrupt
 	}
 	if !pool.Contains(base, RegionBytesRing(l.capacity, l.maxOps, l.inlineOps, l.ovfWords)) {
-		return nil, ErrCorrupt
+		return nil, nil, ErrCorrupt
 	}
 	l.ovfBase = l.base + pmem.Addr(hdrWords*pmem.WordSize) +
 		pmem.Addr(l.capacity*l.slotW*pmem.WordSize)
@@ -451,7 +458,8 @@ func Open(pool *pmem.Pool, pid int, base pmem.Addr) (*Log, error) {
 	// KindDelta record, so a recovered log continues its chain instead
 	// of forcing a fresh base.
 	l.rebuildChain(recs)
-	return l, nil
+	l.restoreSnapRegions(recs)
+	return l, recs, nil
 }
 
 // Base returns the log's region address (stored in the pool root table by
@@ -504,16 +512,40 @@ func (l *Log) slotAddr(seq uint64) pmem.Addr {
 	return l.base + pmem.Addr(hdrWords*pmem.WordSize) + pmem.Addr(slot*uint64(l.slotW)*pmem.WordSize)
 }
 
+// maxBodyWords bounds every region length read from NVM (snapshot and
+// chain bodies, region capacities) before it is scaled to bytes, so a
+// forged length can neither overflow past the bounds check nor demand
+// an absurd allocation.
+const maxBodyWords = 1 << 28
+
+// holds reports whether the pool holds n words at a, for a length n
+// read from (possibly forged) NVM.
+func (l *Log) holds(a pmem.Addr, n int) bool {
+	return n >= 0 && n <= maxBodyWords && l.pool.Contains(a, n*pmem.WordSize)
+}
+
 // checksum is a 64-bit FNV-1a-style mix over record words. It only needs
 // to make "a subset of this record's lines are stale" astronomically
 // unlikely to verify, not to resist adversaries.
 func checksum(words []uint64) uint64 {
-	h := uint64(0xcbf29ce484222325)
+	return sealSum(mixSum(sumSeed, words))
+}
+
+// sumSeed, mixSum and sealSum are checksum in parts, for bodies written
+// from more than one slice (a snapshot's frame and its state):
+// sealSum(mixSum(mixSum(sumSeed, a), b)) == checksum(a ++ b).
+const sumSeed = 0xcbf29ce484222325
+
+func mixSum(h uint64, words []uint64) uint64 {
 	for _, w := range words {
 		h ^= w
 		h *= 0x100000001b3
 		h ^= h >> 29
 	}
+	return h
+}
+
+func sealSum(h uint64) uint64 {
 	if h == 0 { // reserve 0 so an all-zero slot can never verify
 		h = 1
 	}
@@ -612,8 +644,8 @@ func (l *Log) AppendSnapshot(state []uint64, execIdx uint64) (uint64, error) {
 	// Ensure the target region (the one NOT referenced by the previous
 	// snapshot) is large enough.
 	k := l.snapNext
-	if l.snapCap[k] < len(state) {
-		need := len(state)
+	if l.snapCap[k] < snapFrameWords+len(state) {
+		need := snapFrameWords + len(state)
 		if need < 64 {
 			need = 64
 		}
@@ -625,12 +657,16 @@ func (l *Log) AppendSnapshot(state []uint64, execIdx uint64) (uint64, error) {
 		l.snapRegion[k], l.snapCap[k] = a, need
 	}
 	region := l.snapRegion[k]
+	frame := [snapFrameWords]uint64{uint64(l.snapCap[k]), uint64(l.snapRegion[1-k]), uint64(l.snapCap[1-k])}
 	// Line-batched region write: one gate/lock/stat round per cache line
 	// (the region is line-aligned by Alloc).
-	l.pool.StoreRange(l.pid, region, state)
+	l.pool.StoreRange(l.pid, region, frame[:])
+	l.pool.StoreRange(l.pid, region+snapFrameWords*pmem.WordSize, state)
 	// Flush the region lines now; the record's fence will cover them.
-	l.pool.FlushRange(l.pid, region, len(state)*pmem.WordSize)
-	payload := []uint64{uint64(region), uint64(len(state)), checksum(state)}
+	words := snapFrameWords + len(state)
+	l.pool.FlushRange(l.pid, region, words*pmem.WordSize)
+	sum := sealSum(mixSum(mixSum(sumSeed, frame[:]), state))
+	payload := []uint64{uint64(region), uint64(words), sum}
 	seq, err := l.appendRecord(KindSnapshot, uint64(len(payload)), execIdx, payload)
 	if err == nil {
 		l.snapNext = 1 - k
@@ -641,6 +677,50 @@ func (l *Log) AppendSnapshot(state []uint64, execIdx uint64) (uint64, error) {
 		l.chainSeq = 0
 	}
 	return seq, err
+}
+
+// Snapshot body frame: the words in front of the state in a snapshot
+// region. The region's own capacity and the partner ping-pong region
+// let Open restore both regions from the live snapshot record, so a
+// recovered log keeps writing into them instead of allocating a fresh
+// pair (the pool is a bump allocator: a region nothing records is
+// leaked for good).
+//
+//	[0] cap          capacity in words of the region holding this body
+//	[1] partnerAddr  the other ping-pong region (0 while unallocated)
+//	[2] partnerCap   its capacity in words
+//	[3...]           the state
+const snapFrameWords = 3
+
+// restoreSnapRegions reconstructs the ping-pong snapshot regions from
+// the newest live snapshot record after Open: its region becomes the
+// one the next snapshot must NOT overwrite, and the partner its frame
+// records becomes the next target. Frame words are checksummed but
+// still untrusted geometry: a capacity below the written body or out of
+// bounds shrinks to the body, and a partner out of bounds or
+// overlapping the live region is dropped (the next snapshot allocates
+// a fresh one).
+func (l *Log) restoreSnapRegions(recs []Record) {
+	for i := len(recs) - 1; i >= 0; i-- {
+		r := &recs[i]
+		if r.Kind != KindSnapshot {
+			continue
+		}
+		own := snapFrameWords + len(r.State)
+		if c := int(r.snapFrame[0]); c > own && l.holds(r.bodyAddr, c) {
+			own = c
+		}
+		l.snapRegion[0], l.snapCap[0] = r.bodyAddr, own
+		l.snapRegion[1], l.snapCap[1] = 0, 0
+		pa, pc := pmem.Addr(r.snapFrame[1]), int(r.snapFrame[2])
+		ownEnd := r.bodyAddr + pmem.Addr(own*pmem.WordSize)
+		if pc > 0 && l.holds(pa, pc) &&
+			(pa+pmem.Addr(pc*pmem.WordSize) <= r.bodyAddr || pa >= ownEnd) {
+			l.snapRegion[1], l.snapCap[1] = pa, pc
+		}
+		l.snapNext = 1
+		return
+	}
 }
 
 // appendRecord writes the inline slot image [seq, kind<<32|field,
@@ -725,7 +805,12 @@ type Record struct {
 	Overflow bool
 
 	ovfOff, ovfLen int       // claimed span, when Overflow
-	bodyAddr       pmem.Addr // chain body address, when KindDelta
+	bodyAddr       pmem.Addr // body address, when KindSnapshot or KindDelta
+	// snapFrame is a snapshot body's frame, when KindSnapshot.
+	snapFrame [snapFrameWords]uint64
+	// chain is the record's chain as Open resolved it (chain.go), when
+	// this is the record Open rebuilt the log's chain state from.
+	chain *resolvedChain
 }
 
 // ChainBase reports whether a KindDelta record is a chain base (a full
@@ -808,21 +893,22 @@ func (s SlotStatus) String() string {
 	return "unknown"
 }
 
-// wordReader reads one word at an absolute pool address. Recovery
-// probes through the cache (pool.Load — after a crash the cache is
-// empty, so that IS the durable image); the scrubber probes with
-// pool.DurableWord, bypassing the cache entirely, so it sees latent
-// faults that resident lines still mask and costs no gate steps, no
-// statistics and no fences — it cannot perturb the pfences/op counts
-// the paper bounds.
-type wordReader func(pmem.Addr) uint64
+// wordReader reads len(dst) consecutive words starting at an absolute
+// pool address into dst, a cache line per primitive call (DESIGN.md
+// §3.6). Recovery probes through the cache (pool.LoadRange — after a
+// crash the cache is empty, so that IS the durable image); the
+// scrubber probes with pool.DurableRange, bypassing the cache entirely,
+// so it sees latent faults that resident lines still mask and costs no
+// gate steps, no statistics and no fences — it cannot perturb the
+// pfences/op counts the paper bounds.
+type wordReader func(a pmem.Addr, dst []uint64)
 
 func (l *Log) cachedReader() wordReader {
-	return func(a pmem.Addr) uint64 { return l.pool.Load(l.pid, a) }
+	return func(a pmem.Addr, dst []uint64) { l.pool.LoadRange(l.pid, a, dst) }
 }
 
 func (l *Log) durableReader() wordReader {
-	return func(a pmem.Addr) uint64 { return l.pool.DurableWord(a) }
+	return l.pool.DurableRange
 }
 
 // readSlot validates and decodes the record in the slot that seq maps
@@ -839,11 +925,15 @@ func (l *Log) readSlot(seq uint64) (Record, bool) {
 // torn or corrupted) NVM and is validated before use.
 func (l *Log) probeSlot(seq uint64, rd wordReader) (Record, SlotStatus) {
 	addr := l.slotAddr(seq)
-	rdw := func(i int) uint64 { return rd(addr + pmem.Addr(i*pmem.WordSize)) }
-	if rdw(0) != seq {
+	// The slot's first line (slots are line-aligned and at least a line
+	// wide) holds seq, kind/field and execIdx; the rest of the record is
+	// read only once the kind says how long it is.
+	var head [pmem.LineWords]uint64
+	rd(addr, head[:])
+	if head[0] != seq {
 		return Record{}, SlotStale
 	}
-	kn := rdw(1)
+	kn := head[1]
 	kind, field := int(kn>>32), int(kn&0xffffffff)
 	var plen, nops int
 	switch kind {
@@ -873,11 +963,11 @@ func (l *Log) probeSlot(seq uint64, rd wordReader) (Record, SlotStatus) {
 	if 3+plen+1 > l.slotW {
 		return Record{}, SlotBad
 	}
-	words := make([]uint64, 3+plen)
-	for i := range words {
-		words[i] = rdw(i)
+	words := make([]uint64, 3+plen+1)
+	if n := copy(words, head[:]); n < len(words) {
+		rd(addr+pmem.Addr(n*pmem.WordSize), words[n:])
 	}
-	if rdw(3+plen) != checksum(words) {
+	if words[3+plen] != checksum(words[:3+plen]) {
 		return Record{}, SlotBad
 	}
 	rec := Record{Seq: seq, Kind: kind, ExecIdx: words[2]}
@@ -901,9 +991,7 @@ func (l *Log) probeSlot(seq uint64, rd wordReader) (Record, SlotStatus) {
 			return Record{}, SlotBadOvf
 		}
 		tail := make([]uint64, wantLen)
-		for i := range tail {
-			tail[i] = rd(l.ovfBase + pmem.Addr((off+i)*pmem.WordSize))
-		}
+		rd(l.ovfBase+pmem.Addr(off*pmem.WordSize), tail)
 		if checksum(tail) != sum {
 			return Record{}, SlotBadOvf // torn overflow tail: record never appended
 		}
@@ -920,30 +1008,28 @@ func (l *Log) probeSlot(seq uint64, rd wordReader) (Record, SlotStatus) {
 		region, n, sum := pmem.Addr(words[3]), int(words[4]), words[5]
 		// The pointer and length come from (possibly torn) NVM:
 		// validate them before dereferencing.
-		if n < 0 || n > (1<<28) || !l.pool.Contains(region, n*pmem.WordSize) {
+		if n < snapFrameWords || !l.holds(region, n) {
 			return Record{}, SlotBadSnap
 		}
-		state := make([]uint64, n)
-		for i := range state {
-			state[i] = rd(region + pmem.Addr(i*pmem.WordSize))
-		}
-		if checksum(state) != sum {
+		body := make([]uint64, n)
+		rd(region, body)
+		if checksum(body) != sum {
 			return Record{}, SlotBadSnap // torn snapshot body: record never happened
 		}
-		rec.State = state
+		copy(rec.snapFrame[:], body)
+		rec.State = body[snapFrameWords:]
+		rec.bodyAddr = region
 	case KindDelta:
 		region, n, sum := pmem.Addr(words[3]), int(words[4]), words[5]
 		// Same untrusted-pointer discipline as snapshots, plus the chain
 		// frame invariants: a valid body kind and an execIdx matching the
 		// record's. Predecessor damage is NOT probed here — it surfaces
 		// when the chain is resolved.
-		if n < cbHdrWords+1 || n > (1<<28) || !l.pool.Contains(region, n*pmem.WordSize) {
+		if n < cbHdrWords+1 || !l.holds(region, n) {
 			return Record{}, SlotBadDelta
 		}
 		body := make([]uint64, n)
-		for i := range body {
-			body[i] = rd(region + pmem.Addr(i*pmem.WordSize))
-		}
+		rd(region, body)
 		if checksum(body) != sum {
 			return Record{}, SlotBadDelta // torn chain body: record never appended
 		}
@@ -1112,9 +1198,7 @@ func (l *Log) Scrub() ScrubResult {
 	// Header: recompute the checksum over the durable words and check
 	// the geometry against the opened log's.
 	var hdr [hdrWords]uint64
-	for i := range hdr {
-		hdr[i] = l.pool.DurableWord(l.base + pmem.Addr(i*pmem.WordSize))
-	}
+	l.pool.DurableRange(l.base, hdr[:])
 	res.HeaderOK = hdr[hdrMagic] == logMagic &&
 		hdr[hdrSum] == checksum(hdr[:hdrSum]) &&
 		int(hdr[hdrCapacity]) == l.capacity &&

@@ -26,6 +26,14 @@
 // hardware) and so that a sched.Gate can interpose deterministic
 // scheduling or crash injection.
 //
+// Multi-word primitives work a cache line at a time: StoreLine and
+// StoreRange write, LoadRange reads, and DurableRange reads the durable
+// image for the scrubber. Each touched line costs one gate
+// step, one bounds check of its first and last word, one shard lock and
+// one statistics update (the statistics still count words), so
+// recovery reads a log slot or a snapshot body for a few primitive
+// calls instead of one per word (DESIGN.md §3.1, §3.6).
+//
 // Concurrency design: the pool is lock-striped. The volatile cache is a
 // dense []cacheLine slice (line index -> slot, no per-line heap
 // allocation) guarded by shardCount mutexes keyed on the line index, so
@@ -398,6 +406,18 @@ func (p *Pool) checkAddr(a Addr) {
 	}
 }
 
+// checkLine validates an n-word (n >= 1) single-line access at addr:
+// the first and last words are in bounds and aligned, and the run does
+// not cross a line boundary. op names the primitive in the panic.
+func (p *Pool) checkLine(addr Addr, n int, op string) {
+	p.checkAddr(addr)
+	if addr.word()%LineWords+uint64(n) > LineWords {
+		panic(fmt.Sprintf("pmem: %s of %d words at %#x crosses a line boundary",
+			op, n, uint64(addr)))
+	}
+	p.checkAddr(addr + Addr((n-1)*WordSize))
+}
+
 // line returns the volatile copy of line li, faulting it in from the
 // persistent image if needed. Caller holds li's shard lock.
 func (p *Pool) line(li uint64) *cacheLine {
@@ -410,22 +430,66 @@ func (p *Pool) line(li uint64) *cacheLine {
 	return cl
 }
 
-// Load reads the word at addr as seen by the running system (cache first).
+// Load reads the word at addr as seen by the running system (cache
+// first): a one-word loadLine.
 //
 //onll:hotpath
 func (p *Pool) Load(pid int, addr Addr) uint64 {
+	var w [1]uint64
+	p.loadLine(pid, addr, w[:])
+	return w[0]
+}
+
+// loadLine reads len(dst) consecutive words starting at addr, all of
+// which must lie within one cache line, into dst — the read
+// counterpart of StoreLine: one gate step (pmem.load), one shard-lock
+// acquisition and one statistics update for the whole batch, with
+// `Stats.Loads` still counting words. A resident line is served from
+// the volatile cache, any other from the durable image, exactly as the
+// equivalent word loads would be (a load never faults a line in). The
+// gate sees one step per line, so a deterministic schedule or crash
+// injection interleaves between lines, not between the words of one.
+//
+//onll:hotpath
+func (p *Pool) loadLine(pid int, addr Addr, dst []uint64) {
+	if len(dst) == 0 {
+		return
+	}
 	p.gate.Step(pid, "pmem.load")
 	checkPid(pid)
-	p.checkAddr(addr)
-	p.stats[pid].loads.Add(1)
+	p.checkLine(addr, len(dst), "loadLine")
+	p.stats[pid].loads.Add(uint64(len(dst)))
 	li := addr.Line()
 	mu := p.shard(li)
 	mu.Lock() //onll:lockok(striped line-shard lock: bounded section, models line coherency)
 	defer mu.Unlock()
-	if cl := &p.cache[li]; cl.resident {
-		return cl.words[addr.word()%LineWords]
+	p.readLine(li, addr, dst)
+}
+
+// LoadRange reads len(dst) consecutive words starting at addr into dst,
+// splitting the read into per-line loadLine batches: one gate step, one
+// lock and one stat bump per touched cache line instead of per word.
+// Recovery reads log slots, overflow tails and snapshot and chain
+// bodies through it.
+func (p *Pool) LoadRange(pid int, addr Addr, dst []uint64) {
+	for len(dst) > 0 {
+		n := min(int(LineWords-addr.word()%LineWords), len(dst))
+		p.loadLine(pid, addr, dst[:n])
+		addr += Addr(n * WordSize)
+		dst = dst[n:]
 	}
-	return p.persistent[addr.word()]
+}
+
+// readLine copies the words of line li starting at addr into dst (all
+// within the line): from the volatile copy if the line is resident,
+// else from the durable image. Caller holds li's shard lock.
+func (p *Pool) readLine(li uint64, addr Addr, dst []uint64) {
+	if cl := &p.cache[li]; cl.resident {
+		w := addr.word() % LineWords
+		copy(dst, cl.words[w:])
+		return
+	}
+	copy(dst, p.persistent[addr.word():])
 }
 
 // Store writes the word at addr into the cache (volatile until flushed
@@ -469,15 +533,10 @@ func (p *Pool) StoreLine(pid int, addr Addr, vals []uint64) {
 	}
 	p.gate.Step(pid, "pmem.store")
 	checkPid(pid)
-	p.checkAddr(addr)
+	p.checkLine(addr, len(vals), "StoreLine")
+	p.stats[pid].stores.Add(uint64(len(vals)))
 	li := addr.Line()
 	w := addr.word() % LineWords
-	if w+uint64(len(vals)) > LineWords {
-		panic(fmt.Sprintf("pmem: StoreLine of %d words at %#x crosses a line boundary",
-			len(vals), uint64(addr)))
-	}
-	p.checkAddr(addr + Addr((len(vals)-1)*WordSize))
-	p.stats[pid].stores.Add(uint64(len(vals)))
 	mu := p.shard(li)
 	mu.Lock() //onll:lockok(striped line-shard lock: bounded section, models line coherency)
 	defer mu.Unlock()
@@ -757,16 +816,32 @@ func (p *Pool) Contains(addr Addr, size int) bool {
 }
 
 // DurableWord returns the word at addr as it exists in NVM right now,
-// bypassing the cache. This is a test/diagnostic facility ("what would
-// recovery see if we crashed here with DropAll"); real programs cannot
-// do this.
+// bypassing the cache: a one-word DurableRange. This is a
+// test/diagnostic facility ("what would recovery see if we crashed here
+// with DropAll"); real programs cannot do this.
 func (p *Pool) DurableWord(addr Addr) uint64 {
-	p.checkAddr(addr)
-	li := addr.Line()
-	mu := p.shard(li)
-	mu.Lock()
-	defer mu.Unlock()
-	return p.persistent[addr.word()]
+	var w [1]uint64
+	p.DurableRange(addr, w[:])
+	return w[0]
+}
+
+// DurableRange reads len(dst) consecutive words starting at addr from
+// the durable image into dst, bypassing the cache, one shard lock per
+// touched line — the scrubber's read of what a crash would leave. Like
+// DurableWord it takes no gate steps and bumps no statistics, so it
+// cannot perturb the fence accounting; bounds are checked per line as
+// in LoadRange.
+func (p *Pool) DurableRange(addr Addr, dst []uint64) {
+	for len(dst) > 0 {
+		n := min(int(LineWords-addr.word()%LineWords), len(dst))
+		p.checkLine(addr, n, "DurableRange")
+		mu := p.shard(addr.Line())
+		mu.Lock()
+		copy(dst[:n], p.persistent[addr.word():])
+		mu.Unlock()
+		addr += Addr(n * WordSize)
+		dst = dst[n:]
+	}
 }
 
 // VolatileLines returns the number of cache lines currently dirty (a
