@@ -15,8 +15,10 @@
 // from when a backlogged client got around to sending — so the
 // percentiles do not suffer coordinated omission. Each YCSB phase runs
 // once per ack mode (ack-on-linearize and ack-on-persist), reporting
-// p50/p99/p999 and measured persists-per-request; -json records the
-// series into BENCH_throughput.json (the "latency" block, schema v8+).
+// p50/p99/p999 and measured persists-per-request; -json writes the
+// series to BENCH_latency.json. A request that fails (a connection that
+// cannot be dialed, an error response) fails the run with a non-zero
+// exit, so the percentiles always cover every scheduled request.
 package main
 
 import (
@@ -52,11 +54,12 @@ var (
 	nF       = flag.Int("n", 5000, "bench: requests per phase")
 	connsF   = flag.Int("conns", 4, "bench: client connections")
 	mixF     = flag.String("mix", "ycsb-a,ycsb-b,ycsb-c", "bench: comma-separated YCSB phases")
-	jsonF    = flag.Bool("json", false, "bench: merge the latency series into "+jsonPath)
+	jsonF    = flag.Bool("json", false, "bench: write the latency series to "+jsonPath)
 	seedF    = flag.Int64("seed", 1, "bench: workload seed")
 )
 
-const jsonPath = "BENCH_throughput.json"
+// jsonPath is the artifact `-bench -json` writes, whole, on every run.
+const jsonPath = "BENCH_latency.json"
 
 func main() {
 	flag.Parse()
@@ -170,7 +173,7 @@ func bench() error {
 	}
 	fmt.Println("NOTE: latencies measure the simulator substrate over loopback, not real NVM.")
 	if *jsonF {
-		return mergeLatency(points)
+		return writeLatency(points)
 	}
 	return nil
 }
@@ -213,11 +216,19 @@ func benchLeg(mix workload.YCSBWorkload, ack string) (latencyPoint, error) {
 	total := perConn * conns
 	latencies := make([]float64, 0, total)
 	var (
-		mu      sync.Mutex
-		wg      sync.WaitGroup
-		updates int
-		firstNs = time.Now()
+		mu       sync.Mutex
+		wg       sync.WaitGroup
+		updates  int
+		firstErr error
+		firstNs  = time.Now()
 	)
+	fail := func(err error) {
+		mu.Lock()
+		if firstErr == nil {
+			firstErr = err
+		}
+		mu.Unlock()
+	}
 	for ci := 0; ci < conns; ci++ {
 		steps := y.Stream(*seedF+int64(ci)*7919, perConn)
 		for _, st := range steps {
@@ -230,7 +241,7 @@ func benchLeg(mix workload.YCSBWorkload, ack string) (latencyPoint, error) {
 			defer wg.Done()
 			c, err := server.Dial("tcp", s.Addr().String())
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "conn %d: %v\n", ci, err)
+				fail(fmt.Errorf("conn %d: %w", ci, err))
 				return
 			}
 			defer c.Close()
@@ -262,7 +273,7 @@ func benchLeg(mix workload.YCSBWorkload, ack string) (latencyPoint, error) {
 					r := <-ch
 					lat := time.Since(scheduled)
 					if r.Err != nil {
-						fmt.Fprintf(os.Stderr, "request failed: %v\n", r.Err)
+						fail(r.Err)
 						return
 					}
 					mu.Lock()
@@ -278,6 +289,9 @@ func benchLeg(mix workload.YCSBWorkload, ack string) (latencyPoint, error) {
 	stats := s.Stats()
 	fences := pool.TotalStats().PersistentFences
 	s.Close()
+	if len(latencies) < total {
+		return pt, fmt.Errorf("%d of %d requests failed, first: %w", total-len(latencies), total, firstErr)
+	}
 
 	sort.Float64s(latencies)
 	pct := func(q float64) float64 {
@@ -310,49 +324,21 @@ func benchLeg(mix workload.YCSBWorkload, ack string) (latencyPoint, error) {
 	return pt, nil
 }
 
-// mergeLatency writes the latency series into BENCH_throughput.json,
-// preserving every other series the throughput harness maintains and
-// stamping the current schema, v9 (v8 added the "latency" block; v9
-// dropped the multicore single-slot leg).
-func mergeLatency(points []latencyPoint) error {
-	doc := map[string]json.RawMessage{}
-	if data, err := os.ReadFile(jsonPath); err == nil {
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return fmt.Errorf("existing %s: %w", jsonPath, err)
-		}
-	}
-	series := struct {
+// writeLatency writes the latency series to jsonPath as one document
+// of its own (schema bench_latency/v1); it reads nothing back.
+func writeLatency(points []latencyPoint) error {
+	doc := struct {
+		Schema        string         `json:"schema"`
 		GeneratedUnix int64          `json:"generated_unix"`
 		GoMaxProcs    int            `json:"go_max_procs"`
 		NProcs        int            `json:"nprocs"`
 		Points        []latencyPoint `json:"points"`
 	}{
+		Schema:        "bench_latency/v1",
 		GeneratedUnix: time.Now().Unix(),
 		GoMaxProcs:    runtime.GOMAXPROCS(0),
 		NProcs:        *nprocsF,
 		Points:        points,
-	}
-	note := "v8 (onllserve): open-loop latency through the batched network front " +
-		"end. Arrivals are Poisson at rate_rps spread over conns loopback " +
-		"connections; every latency is measured from the request's SCHEDULED " +
-		"arrival time, not its send time, so a backlogged server inflates the " +
-		"tail instead of silently thinning the sample (no coordinated omission). " +
-		"Each mix runs once per ack mode: 'linearize' responds when the op is " +
-		"ordered and reader-visible (a crash may lose the acked suffix, " +
-		"detectably — ids survive in the response), 'persist' responds after " +
-		"the covering flush fence. persists_per_request = total pfences / " +
-		"update requests; < 1 means the batcher is amortizing the paper's " +
-		"1-fence-per-update cost across avg_batch staged ops per fence. " +
-		"Latencies measure the simulator substrate over loopback, not real NVM."
-	var err error
-	if doc["latency"], err = json.Marshal(series); err != nil {
-		return err
-	}
-	if doc["latency_note"], err = json.Marshal(note); err != nil {
-		return err
-	}
-	if doc["schema"], err = json.Marshal("bench_throughput/v9"); err != nil {
-		return err
 	}
 	out, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -361,6 +347,6 @@ func mergeLatency(points []latencyPoint) error {
 	if err := os.WriteFile(jsonPath, append(out, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("merged latency series into %s\n", jsonPath)
+	fmt.Printf("wrote %s\n", jsonPath)
 	return nil
 }

@@ -185,24 +185,6 @@ func (t *denseTable) reset(hasVals bool, capHint int) {
 	t.live, t.used = 0, 0
 }
 
-// copyFrom replaces the table contents with src's, reusing the
-// receiver's arrays when they are already the right shape, so copying
-// the same table layout back and forth does not allocate.
-func (t *denseTable) copyFrom(src *denseTable) {
-	if cap(t.meta) < len(src.meta) {
-		t.meta = make([]uint8, len(src.meta))
-	}
-	t.meta = t.meta[:len(src.meta)]
-	copy(t.meta, src.meta)
-	t.keys = reuse(t.keys, src.keys)
-	if src.vals == nil {
-		t.vals = nil
-	} else {
-		t.vals = reuse(t.vals, src.vals)
-	}
-	t.live, t.used = src.live, src.used
-}
-
 // clone returns an independent deep copy.
 func (t *denseTable) clone() *denseTable {
 	c := &denseTable{

@@ -2,15 +2,15 @@ package objects
 
 import "repro/internal/spec"
 
-// spec.Sizer implementations for every shipped state: SizeHint prices
-// one spec.Copy of the state in 64-bit words, O(1) and allocation-free.
-// The hints measure what CopyFrom actually moves (backing arrays at
+// spec.Sizer implementations for every shipped state: SizeHint
+// estimates the state's size in 64-bit words, O(1) and allocation-free.
+// The hints count the in-memory representation (backing arrays at
 // their live length, table slots at capacity), not the snapshot wire
 // format; a fixed +1 keeps even empty states non-zero, since 0 means
 // "unknown" to spec.SizeHint.
 
-// sizeWords prices a dense-table copy: meta bytes (packed 8/word) plus
-// the key and value arrays copyFrom duplicates in full.
+// sizeWords sizes a dense table: meta bytes (packed 8/word) plus the
+// key and value arrays at full capacity.
 func (t *denseTable) sizeWords() int {
 	w := 1 + len(t.meta)/8 + len(t.keys)
 	if t.vals != nil {

@@ -6,11 +6,11 @@ import (
 	"repro/internal/spec"
 )
 
-// TestSizeHint checks every shipped state's copy-cost hint: always
-// positive (0 means "unknown" to spec.SizeHint), O(1)-cheap by
-// construction, and growing with the state.
-// The hint prices what CopyFrom moves, not the snapshot wire format,
-// so the comparison is order-of-magnitude, not equality.
+// TestSizeHint checks every shipped state's size hint: always positive
+// (0 means "unknown" to spec.SizeHint), O(1)-cheap by construction, and
+// growing with the state. The hint counts the in-memory representation,
+// not the snapshot wire format, so the comparison is order-of-magnitude,
+// not equality.
 func TestSizeHint(t *testing.T) {
 	for _, sp := range All() {
 		sp := sp

@@ -92,22 +92,12 @@ type State interface {
 	Restore(words []uint64) error
 }
 
-// Copier is an optional State extension: CopyFrom replaces the receiver
-// with a deep copy of src (which must be a state of the same spec),
-// reusing the receiver's existing storage where possible: the
-// allocation-light alternative to Clone when the same destination
-// state is overwritten over and over. States that do not implement it
-// are copied through Snapshot/Restore instead.
-type Copier interface {
-	CopyFrom(src State)
-}
-
-// Sizer is an optional State extension paired with Copier: SizeHint
-// returns the approximate size of the state in 64-bit words — the
-// volume one Copy into a same-shaped receiver moves. It must be O(1)
-// and allocation-free, so it can be sampled while a run is measured.
-// The hint is an estimate (capacity vs live entries, table overheads), not a wire
-// format; only its magnitude matters.
+// Sizer is an optional State extension: SizeHint returns the
+// approximate size of the state in 64-bit words, the volume a full
+// snapshot cut has to write. It must be O(1) and allocation-free, so it
+// can be sampled while a run is measured. The hint is an estimate
+// (capacity vs live entries, table overheads), not a wire format; only
+// its magnitude matters.
 type Sizer interface {
 	SizeHint() int
 }
@@ -151,18 +141,6 @@ type DeltaEmitter interface {
 // DeltaApplier too; recovery checks for the pair together.
 type DeltaApplier interface {
 	ApplyDelta(words []uint64) error
-}
-
-// Copy replaces dst's contents with src's, via Copier when dst supports
-// it and through the snapshot wire format otherwise.
-func Copy(dst, src State) {
-	if c, ok := dst.(Copier); ok {
-		c.CopyFrom(src)
-		return
-	}
-	if err := dst.Restore(src.Snapshot()); err != nil {
-		panic(fmt.Sprintf("spec: Copy via snapshot failed: %v", err))
-	}
 }
 
 // Spec is a deterministic sequential object specification: a name and a

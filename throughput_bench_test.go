@@ -6,8 +6,9 @@ package onll
 // over 1/2/4/8. Unlike the E-series benchmarks (which regenerate the
 // paper's tables), this suite measures the simulator substrate itself:
 // it is the regression guard for the sharded-pool and allocation-free
-// replay work, and `onllbench -json` re-runs the same shape to produce
-// the BENCH_throughput.json trajectory artifact.
+// replay work, and `onllbench -exp et -json` measures the same shapes
+// (legs interleaved, medians over three repetitions) into
+// BENCH_throughput.json.
 
 import (
 	"fmt"
